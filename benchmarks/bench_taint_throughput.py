@@ -33,7 +33,6 @@ from repro.guestos.asmlib import program
 from repro.isa.assembler import assemble
 from repro.isa.cpu import AccessKind
 from repro.taint.intern import ProvInterner
-from repro.taint.pipeline import TaintPipeline
 from repro.taint.policy import TaintPolicy
 from repro.taint.reference import ReferenceTaintTracker
 from repro.taint.tags import Tag, TagStore, TagType
@@ -144,7 +143,7 @@ class TaintArrival:
         self.paddrs = ()
 
     def deliver(self, machine):
-        self.tracker.pipeline.taint(self.paddrs, SEED)
+        self.tracker.taint_range(self.paddrs, SEED)
 
     def __repr__(self):
         return "TaintArrival()"
@@ -313,14 +312,14 @@ def run_bulk_copy_workload(mode, rounds):
     start = time.perf_counter()
     for i in range(rounds):
         flow = tags.netflow_tag("9.9.9.9", 4444, "10.0.0.1", 49152 + (i % 7))
-        tracker.pipeline.phys_write(dma, source="nic")
-        tracker.pipeline.taint(dma, flow)
+        tracker.on_phys_write(None, dma, source="nic")
+        tracker.taint_range(dma, flow)
         stage = STAGE_BASE + (i % 4) * PACKET_BYTES
         stage_paddrs = tuple(range(stage, stage + PACKET_BYTES))
-        tracker.pipeline.phys_copy(stage_paddrs, dma, tracker.resolve_actor_tag(actor))
+        tracker.on_phys_copy(None, stage_paddrs, dma, actor)
         dest = IMAGE_DEST + (i % 16) * PACKET_BYTES
         dest_paddrs = tuple(range(dest, dest + PACKET_BYTES))
-        tracker.pipeline.phys_copy(dest_paddrs, stage_paddrs, tracker.resolve_actor_tag(actor))
+        tracker.on_phys_copy(None, dest_paddrs, stage_paddrs, actor)
     secs = time.perf_counter() - start
     return tracker, secs
 
@@ -370,117 +369,6 @@ def compare_bulk_copy_modes(rounds=80):
     return speedup, "\n".join(lines)
 
 
-# ======================================================================
-# the pipeline phase: worker-offload producer cost vs inline consumption
-# ======================================================================
-
-
-def seed_striped_ring(pipeline, tags):
-    """Interleave three netflow tags in 7-byte stripes across the ring.
-
-    Heterogeneous provenance is what makes the gate honest: a copy out
-    of a striped source cannot take the uniform-run bulk path, so the
-    inline consumer pays per-byte provenance work for every copied byte
-    while the producer-side record stays one packed run regardless."""
-    for k in range(3):
-        addrs = tuple(
-            a for a in range(DMA_RING, DMA_RING + PACKET_BYTES)
-            if (a // 7) % 3 == k
-        )
-        pipeline.taint(
-            addrs, tags.netflow_tag("9.9.9.9", 4444, "10.0.0.1", 40000 + k)
-        )
-
-
-def emit_copy_round(pipeline, actor_tag, i):
-    """One staging copy out of the striped ring (both legs of the gate)."""
-    dest = IMAGE_DEST + (i % 16) * PACKET_BYTES
-    dest_paddrs = tuple(range(dest, dest + PACKET_BYTES))
-    pipeline.phys_copy(
-        dest_paddrs, tuple(range(DMA_RING, DMA_RING + PACKET_BYTES)), actor_tag
-    )
-
-
-def compare_pipeline_offload(rounds=80):
-    """The decoupled-consumer gate: producer-side cost of streaming.
-
-    The same op sequence -- a stripe-seeded DMA ring, then *rounds*
-    kernel copies out of it -- runs twice: once through an ``inline``
-    tracker (every event consumed synchronously on the emitting thread,
-    so the per-byte provenance work of each heterogeneous copy is on
-    the producer's clock) and once through a worker pipeline with
-    ``offload=True`` (the producer only packs records and ships them;
-    the forked consumer does the propagation).  Gates the producer-side
-    speedup at >= 1.5x and asserts zero drift: the worker replica's
-    final shadow snapshot, byte count and per-event stats must equal
-    the inline tracker's.
-    """
-    # Leg 1: inline -- consumption on the producer's clock.  Round 0 is
-    # an untimed warm-up on both legs: it pays one-off setup (for the
-    # offload leg, forking the consumer process) outside the window, so
-    # the gate measures steady-state streaming, not process launch.
-    inline_tags = TagStore()
-    inline = TaintTracker(
-        policy=TaintPolicy(process_tags_on_access=True),
-        tags=inline_tags,
-        interner=ProvInterner(),
-    )
-    actor = _Actor()
-    seed_striped_ring(inline.pipeline, inline_tags)
-    actor_tag = inline_tags.process_tag(actor.cr3)
-    emit_copy_round(inline.pipeline, actor_tag, 0)
-    start = time.perf_counter()
-    for i in range(1, rounds):
-        emit_copy_round(inline.pipeline, actor_tag, i)
-    secs_inline = time.perf_counter() - start
-
-    # Leg 2: worker offload -- the producer only packs and ships.
-    offload_tags = TagStore()
-    offload = TaintPipeline(None, mode="worker", offload=True)
-    seed_striped_ring(offload, offload_tags)
-    actor_tag = offload_tags.process_tag(actor.cr3)
-    emit_copy_round(offload, actor_tag, 0)
-    offload.sync()
-    start = time.perf_counter()
-    for i in range(1, rounds):
-        emit_copy_round(offload, actor_tag, i)
-        offload.sync()  # the slice-boundary consistency point
-    secs_offload = time.perf_counter() - start
-    summary = offload.close()
-
-    assert offload.worker_error is None, offload.worker_error
-    assert summary is not None
-    assert summary["records"] == offload.emitted_records
-    assert summary["snapshot"] == inline.shadow.snapshot(), (
-        "worker replica drifted from the inline consumer"
-    )
-    assert summary["tainted_bytes"] == inline.shadow.tainted_bytes > 0
-    from dataclasses import astuple
-
-    assert tuple(summary["stats"]) == astuple(inline.stats), (
-        "worker replica's per-event stats drifted from inline"
-    )
-
-    speedup = secs_inline / secs_offload
-    lines = [
-        "pipeline phase, worker-offload producer vs inline consumption "
-        f"({rounds} striped copies, {offload.emitted_records} records)",
-        f"  inline    : {secs_inline:6.3f}s (emit + consume on one thread)",
-        f"  offload   : {secs_offload:6.3f}s (emit + ship only)",
-        f"  speedup   : {speedup:.2f}x",
-        f"  drift     : none ({summary['tainted_bytes']} tainted bytes, "
-        f"{summary['records']} records consumed remotely, identical)",
-    ]
-    return speedup, "\n".join(lines)
-
-
-@pytest.mark.slow
-def test_pipeline_offload_producer_speedup(emit):
-    speedup, report = compare_pipeline_offload()
-    emit("pipeline_offload", report)
-    assert speedup >= 1.5, f"offload producer only {speedup:.2f}x over inline"
-
-
 @pytest.mark.slow
 def test_bulk_copy_dma_speedup(emit):
     speedup, report = compare_bulk_copy_modes()
@@ -516,14 +404,6 @@ def main(argv):
     print(report)
     if speedup < 2.0:
         print(f"FAIL: fast-path speedup {speedup:.2f}x < 2x", file=sys.stderr)
-        status = 1
-    speedup, report = compare_pipeline_offload()
-    print(report)
-    if speedup < 1.5:
-        print(
-            f"FAIL: offload-producer speedup {speedup:.2f}x < 1.5x",
-            file=sys.stderr,
-        )
         status = 1
     taint_speedup, report = compare_translate_on_vs_off()
     print(report)

@@ -109,12 +109,10 @@ class AttackVerdict:
 
 
 def detection_suite(
-    jobs: int = 1, timeout: Optional[float] = None, metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
+    jobs: int = 1, timeout: Optional[float] = None, metrics: bool = False
 ) -> List[AttackVerdict]:
     """E1-E6: all six attacks.  Expected: 6/6 detected."""
-    job_list = attack_jobs([name for name, _ in ATTACK_BUILDERS], metrics=metrics,
-                           taint_pipeline=taint_pipeline)
+    job_list = attack_jobs([name for name, _ in ATTACK_BUILDERS], metrics=metrics)
     return [
         AttackVerdict(
             name=r.name,
@@ -156,8 +154,7 @@ class JitResult:
 
 
 def jit_fp_experiment(
-    jobs: int = 1, timeout: Optional[float] = None, metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
+    jobs: int = 1, timeout: Optional[float] = None, metrics: bool = False
 ) -> List[JitResult]:
     """E7: run all 20 Table III workloads under FAROS.
 
@@ -165,8 +162,7 @@ def jit_fp_experiment(
     (10% of the applet set; 2/20 of the JIT set), zero AJAX flags.
     """
     results = run_triage(
-        jit_jobs(JIT_WORKLOADS, metrics=metrics, taint_pipeline=taint_pipeline),
-        jobs=jobs, timeout=timeout,
+        jit_jobs(JIT_WORKLOADS, metrics=metrics), jobs=jobs, timeout=timeout
     )
     return [
         JitResult(
@@ -217,8 +213,7 @@ def select_corpus_samples(limit: Optional[int] = None) -> List[SampleSpec]:
 
 def corpus_fp_experiment(
     limit: Optional[int] = None, jobs: int = 1,
-    timeout: Optional[float] = None, metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
+    timeout: Optional[float] = None, metrics: bool = False
 ) -> List[CorpusResult]:
     """E8: the 90-malware + 14-benign corpus.  Expected: zero flags.
 
@@ -227,8 +222,7 @@ def corpus_fp_experiment(
     """
     samples = select_corpus_samples(limit)
     results = run_triage(
-        corpus_jobs(samples, metrics=metrics, taint_pipeline=taint_pipeline),
-        jobs=jobs, timeout=timeout,
+        corpus_jobs(samples, metrics=metrics), jobs=jobs, timeout=timeout
     )
     return [
         CorpusResult(
@@ -363,14 +357,12 @@ COMPARISON_CASES: Tuple[Tuple[str, bool], ...] = (
 
 def comparison_matrix(
     include_transient: bool = True, jobs: int = 1,
-    timeout: Optional[float] = None, metrics: bool = False,
-    taint_pipeline: Optional[str] = None,
+    timeout: Optional[float] = None, metrics: bool = False
 ) -> List[ComparisonRow]:
     """E10: FAROS vs Cuckoo vs Cuckoo+malfind on the attack classes."""
     cases = [c for c in COMPARISON_CASES if include_transient or not c[1]]
     results = run_triage(
-        comparison_jobs(cases, metrics=metrics, taint_pipeline=taint_pipeline),
-        jobs=jobs, timeout=timeout,
+        comparison_jobs(cases, metrics=metrics), jobs=jobs, timeout=timeout
     )
     return [
         ComparisonRow(

@@ -126,7 +126,7 @@ def _run_figure(
     prog = assemble(program(source), base=layout.IMAGE_BASE)
     machine.kernel.register_image("fig.exe", prog)
     proc = machine.kernel.spawn("fig.exe")
-    tracker.pipeline.taint(
+    tracker.taint_range(
         proc.aspace.translate_range(prog.label(seed_label), seed_len, AccessKind.READ),
         SEED,
     )

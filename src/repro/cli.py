@@ -36,7 +36,6 @@ def _triage_kwargs(args: argparse.Namespace) -> dict:
         "jobs": getattr(args, "jobs", 1),
         "timeout": getattr(args, "timeout", None),
         "metrics": getattr(args, "metrics", False),
-        "taint_pipeline": getattr(args, "taint_pipeline", None),
     }
 
 
@@ -210,8 +209,7 @@ def _cmd_timeline(args: argparse.Namespace) -> Optional[dict]:
     session = ObsSession.create(enabled=getattr(args, "metrics", False))
     with session.span("boot"):
         attack = builder()
-    faros = Faros(metrics=session.registry,
-                  taint_pipeline=getattr(args, "taint_pipeline", None))
+    faros = Faros(metrics=session.registry)
     with session.span("detection"):
         attack.scenario.run(plugins=session.plugins_for(faros),
                             metrics=session.registry)
@@ -256,15 +254,15 @@ def _cmd_stats(args: argparse.Namespace) -> Optional[dict]:
     from repro.analysis.triage import TriageJob, execute_job
     from repro.obs.render import render_snapshot
 
-    params = {
-        "attack": args.attack,
-        "metrics": True,
-        "sample_every": args.sample_every,
-        "top_blocks": args.top,
-    }
-    if getattr(args, "taint_pipeline", None):
-        params["taint_pipeline"] = args.taint_pipeline
-    job = TriageJob(job_id=0, name=args.attack, kind="attack", params=params)
+    job = TriageJob(
+        job_id=0, name=args.attack, kind="attack",
+        params={
+            "attack": args.attack,
+            "metrics": True,
+            "sample_every": args.sample_every,
+            "top_blocks": args.top,
+        },
+    )
     result = execute_job(job)
     if not result.ok:
         print(f"stats run failed: {result.error}", file=sys.stderr)
@@ -300,7 +298,6 @@ def _cmd_chaos(args: argparse.Namespace) -> Optional[dict]:
         jobs=args.jobs,
         timeout=args.timeout,
         metrics=getattr(args, "metrics", False),
-        taint_pipeline=getattr(args, "taint_pipeline", None),
     )
     print(render_chaos_matrix(results))
     payload = {
@@ -424,16 +421,6 @@ def _add_metrics_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pipeline_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--taint-pipeline", choices=("inline", "batched", "worker"),
-        default=None, metavar="MODE",
-        help="taint event pipeline: inline (synchronous, the default), "
-             "batched (bounded FIFO, in-process consumer), or worker "
-             "(per-guest consumer process)",
-    )
-
-
 def _add_triage_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -443,7 +430,6 @@ def _add_triage_flags(sub: argparse.ArgumentParser) -> None:
         "--timeout", type=float, default=None, metavar="S",
         help="per-sample wall-clock timeout in seconds (needs --jobs >= 2)",
     )
-    _add_pipeline_flag(sub)
     _add_metrics_flag(sub)
     _add_json_flag(sub)
 
@@ -479,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_TIMELINE_ATTACKS),
         help="which attack scenario to analyse",
     )
-    _add_pipeline_flag(timeline)
     _add_metrics_flag(timeline)
     _add_json_flag(timeline)
     stats = sub.add_parser(
@@ -496,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample-every", type=int, default=1, metavar="N",
         help="profile every Nth retired instruction (default 1 = exact)",
     )
-    _add_pipeline_flag(stats)
     _add_json_flag(stats)
     chaos = sub.add_parser(
         "chaos",

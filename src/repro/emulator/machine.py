@@ -60,13 +60,6 @@ class MachineConfig:
     #: uninstrumented slice runs through ``cpu.step_fast`` (the seed
     #: path, kept for differential testing and benchmarks).
     translate: bool = True
-    #: Transport mode for attached taint pipelines that did not pick one
-    #: themselves (:mod:`repro.taint.pipeline`): ``"inline"`` consumes
-    #: each channel event at emission (the pre-pipeline behaviour),
-    #: ``"batched"`` queues packed events and drains them at slice /
-    #: post-syscall barriers, ``"worker"`` additionally streams every
-    #: drained batch to a per-guest consumer process.
-    taint_pipeline: str = "inline"
 
 
 @dataclass

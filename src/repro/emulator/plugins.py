@@ -15,7 +15,6 @@ than ordering against it (see :mod:`repro.taint.tracker`).
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
@@ -237,9 +236,6 @@ class PluginManager:
     callable assigned on the instance both count, but instance
     assignment must happen *before* :meth:`register` (the lists are not
     rebuilt when a registered plugin mutates).
-
-    The legacy string-keyed :meth:`dispatch` survives as a deprecated
-    shim over the same precomputed lists.
     """
 
     def __init__(self) -> None:
@@ -261,78 +257,30 @@ class PluginManager:
                 # compares as itself.  Either way, anything that is not
                 # the Plugin base no-op participates in the hook.
                 hook = getattr(plugin, name)
-                if getattr(hook, "__deprecated_channel_shim__", False):
-                    # Legacy tracker channel methods kept as warning
-                    # shims for out-of-tree callers: the plugin's
-                    # auto-registered TaintPipeline owns the channel
-                    # hooks now, so wiring the shim too would both
-                    # double-apply every event and trip the warning
-                    # filter from inside the machine.
-                    continue
                 if getattr(hook, "__func__", hook) is not getattr(Plugin, name):
                     handlers[name].append(hook)
         self._handlers = handlers
         for name, hooked in handlers.items():
             setattr(self, name, _fan(hooked))
 
-    def _attach(self, plugin: Plugin) -> None:
-        """Append *plugin*, auto-registering its taint pipeline first.
-
-        A plugin exposing a ``pipeline`` with the ``is_taint_pipeline``
-        marker (the taint trackers, FAROS) gets that transport inserted
-        *ahead* of itself: the pipeline's ``wants_insn_effects`` is the
-        drain barrier, and it must run before its owner probes shadow
-        state, or a queued taint seed could leave a slice
-        under-instrumented.
-        """
-        pipeline = getattr(plugin, "pipeline", None)
-        if (
-            pipeline is not None
-            and getattr(pipeline, "is_taint_pipeline", False)
-            and pipeline not in self._plugins
-        ):
-            self._plugins.append(pipeline)
-        self._plugins.append(plugin)
-
     def register(self, plugin: Plugin) -> Plugin:
         """Attach *plugin* and precompute its hook dispatch; returns it
-        for chaining.  Plugins carrying a taint pipeline get it
-        registered immediately ahead of them (see :meth:`_attach`)."""
-        self._attach(plugin)
+        for chaining."""
+        self._plugins.append(plugin)
         self._rebuild()
         return plugin
 
     def register_all(self, plugins: Iterable[Plugin]) -> None:
-        for plugin in plugins:
-            self._attach(plugin)
+        self._plugins.extend(plugins)
         self._rebuild()
 
     def unregister(self, plugin: Plugin) -> None:
         self._plugins.remove(plugin)
-        pipeline = getattr(plugin, "pipeline", None)
-        if pipeline is not None and pipeline in self._plugins:
-            self._plugins.remove(pipeline)
         self._rebuild()
 
     def handlers(self, hook: str) -> Tuple[Callable, ...]:
         """The precomputed dispatch list for *hook* (introspection)."""
         return tuple(self._handlers[hook])
-
-    def dispatch(self, callback: str, *args) -> None:
-        """Deprecated: invoke *callback* on every plugin overriding it.
-
-        Use the per-hook dispatcher attribute instead, e.g.
-        ``manager.on_syscall_enter(...)`` -- same semantics, no string
-        key, no per-call hook lookup.
-        """
-        warnings.warn(
-            "PluginManager.dispatch(name, ...) is deprecated; call the "
-            f"precomputed per-hook dispatcher (manager.{callback}(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for handler in self._handlers[callback]:
-            handler(*args)
 
     def needs_insn_effects(self) -> bool:
         """True if any plugin currently wants per-instruction effects.

@@ -59,7 +59,6 @@ class Faros(Plugin):
         taint_kernel_code: bool = False,
         tracker_cls=TaintTracker,
         metrics: Optional[MetricsRegistry] = None,
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         """Create the plugin.
 
@@ -81,24 +80,11 @@ class Faros(Plugin):
             publish taint/detector instrumentation into.  ``None`` binds
             the shared null registry -- the analysis hot paths then touch
             only no-op counter singletons.
-        :param taint_pipeline: transport mode for the taint event stream
-            (``"inline"``/``"batched"``/``"worker"``).  ``None`` defers
-            to ``MachineConfig.taint_pipeline`` at machine start (whose
-            default, ``inline``, is the pre-pipeline behaviour).
         """
         super().__init__()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tags = TagStore()
-        self.tracker = tracker_cls(
-            policy=policy or TaintPolicy(),
-            tags=self.tags,
-            taint_pipeline=taint_pipeline,
-        )
-        #: The channel-event transport feeding the tracker.  Exposing it
-        #: here lets the plugin manager auto-register it ahead of this
-        #: plugin, and gives FAROS' tag-insertion hooks their emission
-        #: surface.
-        self.pipeline = self.tracker.pipeline
+        self.tracker = tracker_cls(policy=policy or TaintPolicy(), tags=self.tags)
         # Fast trackers expose a flag-cache-capable shadow; the detector
         # then pre-checks confluence with per-page summary words.  The
         # byte-at-a-time reference tracker's shadow is quietly ignored.
@@ -107,7 +93,6 @@ class Faros(Plugin):
             detection,
             metrics=self.metrics,
             shadow=getattr(self.tracker, "shadow", None),
-            pipeline=self.pipeline,
         )
         if self.metrics.enabled:
             register_tracker_metrics(self.metrics, self.tracker)
@@ -162,11 +147,14 @@ class Faros(Plugin):
     def on_insns_skipped(self, machine, thread, count) -> None:
         self.tracker.on_insns_skipped(machine, thread, count)
 
-    # The physical channels (external writes, kernel copies, frame
-    # frees) no longer forward through this plugin: the tracker's
-    # auto-registered TaintPipeline receives those hooks directly, ahead
-    # of Faros in registration order, and streams them to the tracker as
-    # packed TaintEvent batches.
+    def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
+        self.tracker.on_phys_copy(machine, dst_paddrs, src_paddrs, actor)
+
+    def on_phys_write(self, machine, paddrs, source) -> None:
+        self.tracker.on_phys_write(machine, paddrs, source)
+
+    def on_frames_freed(self, machine, frames) -> None:
+        self.tracker.on_frames_freed(machine, frames)
 
     # ------------------------------------------------------------------
     # FAROS tag-insertion hooks (§V-A "Tag Insertion")
@@ -177,7 +165,7 @@ class Faros(Plugin):
         tag = self.tags.netflow_tag(
             packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port
         )
-        self.pipeline.taint(paddrs, tag)
+        self.tracker.taint_range(paddrs, tag)
         self._note(
             machine.now,
             "netflow",
@@ -187,7 +175,7 @@ class Faros(Plugin):
 
     def on_file_read(self, machine, process, path, version, paddrs) -> None:
         """Taint file content loaded into memory with a file tag."""
-        self.pipeline.taint(paddrs, self.tags.file_tag(path, version))
+        self.tracker.taint_range(paddrs, self.tags.file_tag(path, version))
 
     def on_file_write(self, machine, process, path, version, paddrs) -> None:
         """Taint the buffer being written into a file with a file tag.
@@ -198,11 +186,9 @@ class Faros(Plugin):
         :meth:`~repro.faros.report.FarosReport.render` name the true
         origin of dropped-then-reloaded payloads.
         """
-        # prov_of_range is itself a sync barrier: the lineage snapshot
-        # must reflect every queued channel event before this write.
         origin = self.tracker.prov_of_range(paddrs)
         self.file_lineage.setdefault(path.lower(), []).append((version, origin))
-        self.pipeline.taint(paddrs, self.tags.file_tag(path, version))
+        self.tracker.taint_range(paddrs, self.tags.file_tag(path, version))
         if origin:
             self._note(
                 machine.now,
@@ -226,12 +212,12 @@ class Faros(Plugin):
         for pointer_vaddr, name in zip(module.export_pointer_vaddrs, names):
             paddrs = process.aspace.translate_range(pointer_vaddr, 4, AccessKind.READ)
             tag = self.tags.export_table_tag(name if self.augment_export_tags else None)
-            self.pipeline.taint(paddrs, tag)
+            self.tracker.taint_range(paddrs, tag)
         if self.taint_kernel_code:
             code_paddrs = process.aspace.translate_range(
                 module.base, module.size, AccessKind.READ
             )
-            self.pipeline.taint(code_paddrs, self.tags.export_table_tag())
+            self.tracker.taint_range(code_paddrs, self.tags.export_table_tag())
 
     # ------------------------------------------------------------------
     # OS introspection plumbing
@@ -274,10 +260,6 @@ class Faros(Plugin):
 
     def report(self) -> FarosReport:
         """Produce the analysis report (call after the run completes)."""
-        # Final synchronization barrier: apply any still-queued channel
-        # events and reap the worker-mode consumer (close() records its
-        # cross-check and is a no-op for inline/batched transports).
-        self.pipeline.close()
         return FarosReport(
             flagged=list(self.detector.flagged),
             tag_store=self.tags,

@@ -15,7 +15,6 @@ rendering.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,16 +22,6 @@ from repro.faros.detector import FlaggedInstruction
 from repro.taint.tags import Tag, TagStore, TagType
 
 Prov = Tuple[Tag, ...]
-
-
-def _warn_renamed(old: str, new: str) -> None:
-    """One DeprecationWarning per legacy export-API call site."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} -- same JSON shape, but the "
-        "to_json_dict/from_json_dict pair names the symmetric contract",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def render_provenance(tags: TagStore, prov: Prov) -> str:
@@ -96,17 +85,6 @@ class ProvenanceChain:
             stitched_netflow=d["stitched_netflow"],
             upstream_processes=list(d["upstream_processes"]),
         )
-
-    def to_dict(self) -> dict:
-        """Deprecated alias of :meth:`to_json_dict`."""
-        _warn_renamed("ProvenanceChain.to_dict", "to_json_dict")
-        return self.to_json_dict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProvenanceChain":
-        """Deprecated alias of :meth:`from_json_dict`."""
-        _warn_renamed("ProvenanceChain.from_dict", "from_json_dict")
-        return cls.from_json_dict(d)
 
 
 @dataclass
@@ -248,11 +226,6 @@ class FarosReport:
             "fault": self.fault,
         }
 
-    def to_dict(self) -> dict:
-        """Deprecated alias of :meth:`to_json_dict`."""
-        _warn_renamed("FarosReport.to_dict", "to_json_dict")
-        return self.to_json_dict()
-
     def summary(self) -> "ReportSummary":
         """The serializable face of this report (what crosses processes)."""
         return ReportSummary(
@@ -365,14 +338,3 @@ class ReportSummary:
             metrics=d.get("metrics"),
             fault=d.get("fault"),
         )
-
-    def to_dict(self) -> dict:
-        """Deprecated alias of :meth:`to_json_dict`."""
-        _warn_renamed("ReportSummary.to_dict", "to_json_dict")
-        return self.to_json_dict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportSummary":
-        """Deprecated alias of :meth:`from_json_dict`."""
-        _warn_renamed("ReportSummary.from_dict", "from_json_dict")
-        return cls.from_json_dict(d)

@@ -155,11 +155,6 @@ FAULT_CLASSIFICATION = {
     "GuestResourceExhausted": CLASS_DEGRADED,
     "WatchdogExpired": CLASS_DEGRADED,
     "TaintBudgetExceeded": CLASS_DEGRADED,
-    # The taint pipeline's bounded FIFO overflowed and soft-drop
-    # degraded precise events to page-granular overtaint.  The ring
-    # depth is configuration, so a retry reproduces the drops: the
-    # report is deterministically partial-precision, not retryable.
-    "TaintPipelineOverflow": CLASS_DEGRADED,
     "InjectedFault": CLASS_DEGRADED,
     "EmulatorFault": CLASS_DEGRADED,
     # A machine snapshot failed its integrity digest: the frozen state

@@ -227,15 +227,6 @@ class FaultPlan:
     syscall_step_budget: Optional[int] = None
     max_tainted_bytes: Optional[int] = None
     max_prov_nodes: Optional[int] = None
-    #: Taint-pipeline configuration: *taint_pipeline* selects the event
-    #: pipeline mode (``inline``/``batched``/``worker``; folded into
-    #: ``MachineConfig.taint_pipeline`` by :meth:`apply`) and
-    #: *max_queue_depth* bounds the batched/worker FIFO in packed
-    #: records (folded into ``TaintPolicy.max_queue_depth`` by
-    #: :meth:`taint_policy`) -- a tiny depth forces soft-drop
-    #: backpressure, the chaos matrix's degraded-precision regime.
-    taint_pipeline: Optional[str] = None
-    max_queue_depth: Optional[int] = None
 
     def apply(self, scenario: Scenario) -> Scenario:
         """A new scenario with this plan's rules and budgets woven in."""
@@ -265,8 +256,6 @@ class FaultPlan:
                 instruction_budget=self.instruction_budget,
                 syscall_step_budget=self.syscall_step_budget,
             )
-        if self.taint_pipeline is not None:
-            config = dataclasses.replace(config, taint_pipeline=self.taint_pipeline)
 
         setup = scenario.setup
         syscall_rules = tuple(r for r in self.rules if r.trigger == "syscall")
@@ -288,20 +277,13 @@ class FaultPlan:
     def taint_policy(self, base: Optional[TaintPolicy] = None) -> Optional[TaintPolicy]:
         """*base* (or the default policy) with this plan's taint budgets,
         or None when the plan imposes none (caller keeps its default)."""
-        if (
-            self.max_tainted_bytes is None
-            and self.max_prov_nodes is None
-            and self.max_queue_depth is None
-        ):
+        if self.max_tainted_bytes is None and self.max_prov_nodes is None:
             return base
-        policy = dataclasses.replace(
+        return dataclasses.replace(
             base or TaintPolicy(),
             max_tainted_bytes=self.max_tainted_bytes,
             max_prov_nodes=self.max_prov_nodes,
         )
-        if self.max_queue_depth is not None:
-            policy = dataclasses.replace(policy, max_queue_depth=self.max_queue_depth)
-        return policy
 
     def to_json_dict(self) -> dict:
         return {
@@ -310,8 +292,6 @@ class FaultPlan:
             "syscall_step_budget": self.syscall_step_budget,
             "max_tainted_bytes": self.max_tainted_bytes,
             "max_prov_nodes": self.max_prov_nodes,
-            "taint_pipeline": self.taint_pipeline,
-            "max_queue_depth": self.max_queue_depth,
         }
 
     @classmethod
@@ -322,6 +302,4 @@ class FaultPlan:
             syscall_step_budget=d.get("syscall_step_budget"),
             max_tainted_bytes=d.get("max_tainted_bytes"),
             max_prov_nodes=d.get("max_prov_nodes"),
-            taint_pipeline=d.get("taint_pipeline"),
-            max_queue_depth=d.get("max_queue_depth"),
         )

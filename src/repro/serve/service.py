@@ -400,13 +400,20 @@ def run_service(config: ServeConfig) -> None:
 # ----------------------------------------------------------------------
 
 class ServeClient:
-    """Blocking NDJSON client for one service socket."""
+    """Blocking NDJSON client for one service socket.
+
+    Result rows stream in whenever a subscribed job finishes, so they
+    can arrive while a request waits for its own reply (a submit's acks,
+    a health view).  Those rows are held and handed out by
+    :meth:`next_result` before anything still on the socket.
+    """
 
     def __init__(self, socket_path: str, timeout: float = 120.0) -> None:
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.settimeout(timeout)
         self._sock.connect(socket_path)
         self._fh = self._sock.makefile("rwb")
+        self._held: Deque[dict] = deque()
 
     @classmethod
     def connect(cls, socket_path: str, timeout: float = 120.0,
@@ -431,6 +438,17 @@ class ServeClient:
             raise ConnectionError("service closed the connection")
         return json.loads(line)
 
+    def _recv_reply(self, *recs: str) -> dict:
+        """The next record whose ``rec`` is one of *recs*, holding any
+        result row read on the way for :meth:`next_result`."""
+        while True:
+            record = self._recv()
+            rec = record.get("rec")
+            if rec in recs:
+                return record
+            if rec == "result":
+                self._held.append(record)
+
     def submit(self, jobs: Sequence[TriageJob], priority: str = "normal",
                tenant: str = "default") -> List[dict]:
         """Submit *jobs*; returns their ack/reject records."""
@@ -440,13 +458,16 @@ class ServeClient:
             "priority": priority,
             "tenant": tenant,
         })
-        return [self._recv() for _ in jobs]
+        return [self._recv_reply("ack", "reject") for _ in jobs]
 
     def await_jobs(self, job_ids: Sequence[int]) -> None:
         self._send({"op": "await", "job_ids": list(job_ids)})
 
     def next_result(self) -> TriageResult:
-        """Block for the next streamed result row."""
+        """The next streamed result row: held rows first, then the
+        socket (blocking)."""
+        if self._held:
+            return TriageResult.from_json_dict(self._held.popleft()["result"])
         while True:
             record = self._recv()
             if record.get("rec") == "result":
@@ -469,17 +490,11 @@ class ServeClient:
 
     def health(self) -> dict:
         self._send({"op": "health"})
-        while True:
-            record = self._recv()
-            if record.get("rec") == "health":
-                return record
+        return self._recv_reply("health")
 
     def metrics(self) -> dict:
         self._send({"op": "metrics"})
-        while True:
-            record = self._recv()
-            if record.get("rec") == "metrics":
-                return record["metrics"]
+        return self._recv_reply("metrics")["metrics"]
 
     def shutdown(self) -> None:
         self._send({"op": "shutdown"})

@@ -37,22 +37,6 @@ from repro.isa.cpu import InstructionEffects
 from repro.isa.instructions import IMM_ALU_OPS, Op, REG_ALU_OPS
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.isa.registers import Reg
-from repro.taint.pipeline import (
-    EV_APPEND,
-    EV_CLEAR,
-    EV_COPY,
-    EV_FREE,
-    EV_OVERTAINT,
-    EV_OVERTAINT_COPY,
-    EV_WRITE,
-    FLAG_LAST,
-    KIND_MASK,
-    RECORD_SLOTS,
-    EventBatch,
-    TaintPipeline,
-    check_protocol,
-    deprecated_channel_method,
-)
 from repro.taint.policy import TaintPolicy
 from repro.taint.provenance import EMPTY, append_tag, prov_union, union_all
 from repro.taint.shadow import ShadowBank
@@ -126,7 +110,6 @@ class ReferenceTaintTracker(Plugin):
         self,
         policy: Optional[TaintPolicy] = None,
         tags: Optional[TagStore] = None,
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -136,14 +119,6 @@ class ReferenceTaintTracker(Plugin):
         self.stats = TrackerStats()
         self._load_listeners: List[LoadListener] = []
         self._pending_control: Dict[int, List] = {}
-        #: Same transport as the fast tracker: the oracle consumes the
-        #: identical versioned event stream (byte-at-a-time), so the
-        #: differential matrix covers every pipeline mode end to end.
-        self.pipeline = TaintPipeline(
-            self,
-            mode=taint_pipeline,
-            max_queue_depth=self.policy.max_queue_depth,
-        )
 
     # ------------------------------------------------------------------
     # wiring (same surface as the fast tracker)
@@ -152,103 +127,48 @@ class ReferenceTaintTracker(Plugin):
     def add_load_listener(self, listener: LoadListener) -> None:
         self._load_listeners.append(listener)
 
-    # ------------------------------------------------------------------
-    # the TaintSink protocol: per-byte event application (the spec)
-    # ------------------------------------------------------------------
-
-    def resolve_actor_tag(self, actor) -> Optional[Tag]:
-        if actor is None or not self.policy.process_tags_on_access:
-            return None
-        return self.tags.process_tag(actor.cr3)
-
-    def consume(self, batch: EventBatch) -> None:
-        """Apply one event batch byte-at-a-time -- the semantic spec the
-        fast tracker's bulk ``consume`` is held bit-identical to."""
-        check_protocol(batch)
-        recs = batch.records
-        refs = batch.refs
-        shadow = self.shadow
-        stats = self.stats
-        i, n = 0, len(recs)
-        while i < n:
-            code = recs[i]
-            kind = code & KIND_MASK
-            a = recs[i + 1]
-            b = recs[i + 2]
-            if kind == EV_APPEND or kind == EV_OVERTAINT:
-                tag = refs[recs[i + 5]]
-                for paddr in range(a, a + b):
-                    shadow.set(paddr, append_tag(shadow.get(paddr), tag))
-            elif kind == EV_COPY:
-                length = recs[i + 3]
-                ref = recs[i + 5]
-                actor_tag = refs[ref] if ref >= 0 else None
-                for k in range(length):
-                    prov = shadow.get(b + k)
-                    if prov and actor_tag is not None:
-                        prov = append_tag(prov, actor_tag)
-                        stats.process_tag_appends += 1
-                    shadow.set(a + k, prov)
-                if code & FLAG_LAST:
-                    stats.kernel_copies += 1
-            elif kind == EV_WRITE:
-                shadow.clear_range(a, b)
-                if code & FLAG_LAST:
-                    stats.external_writes += 1
-            elif kind == EV_CLEAR:
-                shadow.clear_range(a, b)
-            elif kind == EV_FREE:
-                for frame in range(a, a + b):
-                    shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
-            elif kind == EV_OVERTAINT_COPY:
-                prov = shadow.get_range(recs[i + 3], recs[i + 4])
-                tags = list(prov)
-                ref = recs[i + 5]
-                if ref >= 0:
-                    tags.append(refs[ref])
-                for tag in tags:
-                    for paddr in range(a, a + b):
-                        shadow.set(paddr, append_tag(shadow.get(paddr), tag))
-            else:
-                raise ValueError(f"unknown taint event kind {kind}")
-            i += RECORD_SLOTS
-
-    # ------------------------------------------------------------------
-    # deprecated direct-call shims (same surface as the fast tracker)
-    # ------------------------------------------------------------------
-
-    @deprecated_channel_method("TaintPipeline.taint")
     def taint_range(self, paddrs: Sequence[int], tag: Tag) -> None:
-        self.pipeline.taint(paddrs, tag)
-        self.pipeline.sync()
+        shadow = self.shadow
+        for paddr in paddrs:
+            shadow.set(paddr, append_tag(shadow.get(paddr), tag))
 
     def prov_at(self, paddr: int) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get(paddr)
 
     def prov_of_range(self, paddrs: Sequence[int]) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get_bytes(paddrs)
 
-    @deprecated_channel_method("TaintPipeline.clear")
     def clear_range(self, paddrs: Sequence[int]) -> None:
-        self.pipeline.clear(paddrs)
-        self.pipeline.sync()
+        self.shadow.clear_bytes(paddrs)
 
-    @deprecated_channel_method("TaintPipeline.phys_write")
+    # ------------------------------------------------------------------
+    # plugin callbacks: non-instruction data movement
+    # ------------------------------------------------------------------
+
     def on_phys_write(self, machine, paddrs, source: str) -> None:
-        self.pipeline.phys_write(paddrs, source)
-        self.pipeline.sync()
+        if not paddrs:
+            return
+        self.shadow.clear_bytes(paddrs)
+        self.stats.external_writes += 1
 
-    @deprecated_channel_method("TaintPipeline.phys_copy")
     def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
-        self.pipeline.phys_copy(dst_paddrs, src_paddrs, self.resolve_actor_tag(actor))
-        self.pipeline.sync()
+        shadow = self.shadow
+        actor_tag: Optional[Tag] = None
+        if actor is not None and self.policy.process_tags_on_access:
+            actor_tag = self.tags.process_tag(actor.cr3)
+        if not dst_paddrs:
+            return
+        for dst, src in zip(dst_paddrs, src_paddrs):
+            prov = shadow.get(src)
+            if prov and actor_tag is not None:
+                prov = append_tag(prov, actor_tag)
+                self.stats.process_tag_appends += 1
+            shadow.set(dst, prov)
+        self.stats.kernel_copies += 1
 
-    @deprecated_channel_method("TaintPipeline.frames_freed")
     def on_frames_freed(self, machine, frames) -> None:
-        self.pipeline.frames_freed(frames)
-        self.pipeline.sync()
+        for frame in frames:
+            self.shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
 
     def on_process_exit(self, machine, process, status) -> None:
         for thread in process.threads:

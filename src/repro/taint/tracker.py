@@ -46,26 +46,9 @@ from repro.emulator.plugins import Plugin
 from repro.faults.errors import TaintBudgetExceeded
 from repro.isa.cpu import InstructionEffects, MemoryAccess
 from repro.isa.instructions import IMM_ALU_OPS, Op, REG_ALU_OPS
-from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE
+from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, contiguous_runs
 from repro.isa.registers import Reg
 from repro.taint.intern import GLOBAL_INTERNER, ProvInterner
-from repro.taint.pipeline import (
-    EV_APPEND,
-    EV_CLEAR,
-    EV_COPY,
-    EV_FREE,
-    EV_OVERTAINT,
-    EV_OVERTAINT_COPY,
-    EV_WRITE,
-    FLAG_LAST,
-    KIND_MASK,
-    RECORD_SLOTS,
-    EventBatch,
-    TaintPipeline,
-    check_protocol,
-    deprecated_channel_method,
-    register_pipeline_metrics,
-)
 from repro.taint.policy import TaintPolicy
 from repro.taint.provenance import EMPTY
 from repro.taint.shadow import ShadowBank, ShadowMemory
@@ -179,10 +162,6 @@ def register_tracker_metrics(registry, tracker) -> None:
 
         registry.gauge("taint.shadow.flag_cache.hit_rate", _flag_cache_hit_rate)
 
-    pipeline = getattr(tracker, "pipeline", None)
-    if pipeline is not None:
-        register_pipeline_metrics(registry, pipeline)
-
 
 class TaintTracker(Plugin):
     """Byte-granular, whole-system DIFT with provenance lists."""
@@ -193,7 +172,6 @@ class TaintTracker(Plugin):
         tags: Optional[TagStore] = None,
         interner: Optional[ProvInterner] = None,
         shadow_mode: str = "auto",
-        taint_pipeline: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -219,18 +197,6 @@ class TaintTracker(Plugin):
         self._pending_control: Dict[int, List] = {}
         #: Reusable per-slice context for the translated-tainted tier.
         self._block_ctx: Optional[BlockTaintContext] = None
-        #: The channel-event transport feeding this tracker.  The plugin
-        #: manager auto-registers it in front of the tracker, so machine
-        #: channel events (external writes, kernel copies, frame frees)
-        #: and FAROS' tag-insertion hooks flow through the versioned
-        #: TaintEvent protocol into :meth:`consume` -- immediately in
-        #: ``inline`` mode, at consistency barriers in ``batched`` and
-        #: ``worker`` modes.
-        self.pipeline = TaintPipeline(
-            self,
-            mode=taint_pipeline,
-            max_queue_depth=self.policy.max_queue_depth,
-        )
 
     # ------------------------------------------------------------------
     # wiring for detection plugins
@@ -241,97 +207,23 @@ class TaintTracker(Plugin):
         self._load_listeners.append(listener)
 
     # ------------------------------------------------------------------
-    # the TaintSink protocol: consumer-side event application
+    # taint-source API (used by FAROS' tag-insertion hooks)
     # ------------------------------------------------------------------
 
-    def resolve_actor_tag(self, actor) -> Optional[Tag]:
-        """Mint the acting process' tag for a copy event, at emit time.
-
-        Tag indices are assigned in mint order, so the pipeline resolves
-        the actor *when the event is produced*; deferring the mint to
-        consumption would reorder the tag store under batching and break
-        provenance-serialisation identity with the inline transport.
-        """
-        if actor is None or not self.policy.process_tags_on_access:
-            return None
-        return self.tags.process_tag(actor.cr3)
-
-    def consume(self, batch: EventBatch) -> None:
-        """Apply one batch of packed channel events to shadow state.
-
-        Bit-identical to the retired direct-call API: bulk shadow ops
-        per contiguous run, per-*event* statistics and budget checks at
-        each FLAG_LAST record (exactly where the old per-call bumps and
-        checks sat), and the reference oracle's ``consume`` applies the
-        same records byte-at-a-time -- the differential matrix holds the
-        two together across every transport mode.
-        """
-        check_protocol(batch)
-        recs = batch.records
-        refs = batch.refs
-        shadow = self.shadow
-        stats = self.stats
-        budgeted = self._max_tainted_bytes is not None or self._max_prov_nodes is not None
-        copy_appends = 0
-        i, n = 0, len(recs)
-        while i < n:
-            code = recs[i]
-            kind = code & KIND_MASK
-            a = recs[i + 1]
-            b = recs[i + 2]
-            if kind == EV_APPEND:
-                shadow.append_range(a, b, refs[recs[i + 5]])
-                if code & FLAG_LAST and budgeted:
-                    self._check_budget()
-            elif kind == EV_COPY:
-                ref = recs[i + 5]
-                copy_appends += shadow.copy_range(
-                    a, b, recs[i + 3], refs[ref] if ref >= 0 else None
-                )
-                if code & FLAG_LAST:
-                    stats.process_tag_appends += copy_appends
-                    copy_appends = 0
-                    stats.kernel_copies += 1
-                    if budgeted:
-                        self._check_budget()
-            elif kind == EV_WRITE:
-                shadow.clear_range(a, b)
-                if code & FLAG_LAST:
-                    stats.external_writes += 1
-            elif kind == EV_CLEAR:
-                shadow.clear_range(a, b)
-            elif kind == EV_FREE:
-                for frame in range(a, a + b):
-                    shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
-            elif kind == EV_OVERTAINT:
-                shadow.append_range(a, b, refs[recs[i + 5]])
-                if code & FLAG_LAST and budgeted:
-                    self._check_budget()
-            elif kind == EV_OVERTAINT_COPY:
-                # Soft-drop residue for a dropped copy: append the union
-                # of the spanned source pages' provenance (plus the
-                # actor tag) to the spanned destination pages.  A
-                # superset of any per-byte copy result -- conservative.
-                for tag in shadow.get_range(recs[i + 3], recs[i + 4]):
-                    shadow.append_range(a, b, tag)
-                ref = recs[i + 5]
-                if ref >= 0:
-                    shadow.append_range(a, b, refs[ref])
-                if code & FLAG_LAST and budgeted:
-                    self._check_budget()
-            else:
-                raise ValueError(f"unknown taint event kind {kind}")
-            i += RECORD_SLOTS
-
-    # ------------------------------------------------------------------
-    # taint-source API (deprecated direct-call shims)
-    # ------------------------------------------------------------------
-
-    @deprecated_channel_method("TaintPipeline.taint")
     def taint_range(self, paddrs: Sequence[int], tag: Tag) -> None:
-        """Deprecated: emit an append event via ``tracker.pipeline``."""
-        self.pipeline.taint(paddrs, tag)
-        self.pipeline.sync()
+        """Append *tag* to the provenance of each byte in *paddrs*.
+
+        Decomposed into contiguous physical runs so array-backed shadow
+        pages take one bulk (interner-exact) tag op per run instead of a
+        per-byte get/append/set loop.
+        """
+        if not paddrs:
+            return
+        shadow = self.shadow
+        for start, length in contiguous_runs(paddrs):
+            shadow.append_range(start, length, tag)
+        if self._max_tainted_bytes is not None or self._max_prov_nodes is not None:
+            self._check_budget()
 
     def _check_budget(self) -> None:
         """Trip :class:`TaintBudgetExceeded` if a taint budget is blown.
@@ -352,45 +244,67 @@ class TaintTracker(Plugin):
                 raise TaintBudgetExceeded("provenance nodes", used, limit)
 
     def prov_at(self, paddr: int) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get(paddr)
 
     def prov_of_range(self, paddrs: Sequence[int]) -> Prov:
-        self.pipeline.sync()
         return self.shadow.get_bytes(paddrs)
 
-    @deprecated_channel_method("TaintPipeline.clear")
     def clear_range(self, paddrs: Sequence[int]) -> None:
-        """Deprecated: emit a clear event via ``tracker.pipeline``."""
-        self.pipeline.clear(paddrs)
-        self.pipeline.sync()
+        shadow = self.shadow
+        for start, length in contiguous_runs(paddrs):
+            shadow.clear_range(start, length)
 
     # ------------------------------------------------------------------
-    # non-instruction data movement (deprecated direct-call shims)
+    # plugin callbacks: non-instruction data movement
     # ------------------------------------------------------------------
-    #
-    # The machine's physical channels now dispatch to the tracker's
-    # auto-registered TaintPipeline (the shim marker removes these from
-    # hook dispatch); the shims keep out-of-tree callers working, with
-    # a warning the test suite promotes to an error.
 
-    @deprecated_channel_method("TaintPipeline.phys_write")
     def on_phys_write(self, machine, paddrs, source: str) -> None:
-        """Deprecated: emit a write event via ``tracker.pipeline``."""
-        self.pipeline.phys_write(paddrs, source)
-        self.pipeline.sync()
+        # External data overwrites these bytes: whatever provenance they
+        # had is gone.  Source-specific tags (netflow, file) are seeded
+        # by FAROS' own hooks which run after this one.
+        if not paddrs:
+            return
+        shadow = self.shadow
+        for start, length in contiguous_runs(paddrs):
+            shadow.clear_range(start, length)
+        self.stats.external_writes += 1
 
-    @deprecated_channel_method("TaintPipeline.phys_copy")
     def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
-        """Deprecated: emit a copy event via ``tracker.pipeline``."""
-        self.pipeline.phys_copy(dst_paddrs, src_paddrs, self.resolve_actor_tag(actor))
-        self.pipeline.sync()
+        """Table I copy, plus the acting process' tag.
 
-    @deprecated_channel_method("TaintPipeline.frames_freed")
+        Decomposed into runs where *both* sides are physically
+        consecutive, so array-page to array-page moves are slice copies
+        (:meth:`~repro.taint.shadow.ShadowMemory.copy_range` preserves
+        the per-byte zip-order semantics and the interner accounting of
+        the byte loop, including overlapping-range ripple).  The actor's
+        process tag is minted even for an empty copy, so tag indices
+        follow the kernel's copy calls, not their sizes.
+        """
+        actor_tag: Optional[Tag] = None
+        if actor is not None and self.policy.process_tags_on_access:
+            actor_tag = self.tags.process_tag(actor.cr3)
+        n = len(dst_paddrs)
+        if not n:
+            return
+        shadow = self.shadow
+        i = 0
+        appends = 0
+        while i < n:
+            dst, src = dst_paddrs[i], src_paddrs[i]
+            j = i + 1
+            while j < n and dst_paddrs[j] == dst + (j - i) and src_paddrs[j] == src + (j - i):
+                j += 1
+            appends += shadow.copy_range(dst, src, j - i, actor_tag)
+            i = j
+        self.stats.process_tag_appends += appends
+        self.stats.kernel_copies += 1
+        if self._max_tainted_bytes is not None or self._max_prov_nodes is not None:
+            self._check_budget()
+
     def on_frames_freed(self, machine, frames) -> None:
-        """Deprecated: emit a free event via ``tracker.pipeline``."""
-        self.pipeline.frames_freed(frames)
-        self.pipeline.sync()
+        shadow = self.shadow
+        for frame in frames:
+            shadow.clear_range(frame << PAGE_SHIFT, PAGE_SIZE)
 
     def on_process_exit(self, machine, process, status) -> None:
         for thread in process.threads:

@@ -1,7 +1,5 @@
 """Unit tests for the plugin manager and callback dispatch."""
 
-import pytest
-
 from repro.emulator.machine import Machine, MachineConfig
 from repro.emulator.plugins import Plugin, PluginManager
 
@@ -91,13 +89,6 @@ class TestPluginManager:
         manager.unregister(recorder)
         manager.on_machine_start(None)
         assert recorder.calls == []
-
-    def test_dispatch_shim_still_works_but_warns(self):
-        manager = PluginManager()
-        recorder = manager.register(Recorder())
-        with pytest.warns(DeprecationWarning, match="on_machine_start"):
-            manager.dispatch("on_machine_start", None)
-        assert recorder.calls == ["start"]
 
 
 class TestCallbackFlow:

@@ -89,13 +89,13 @@ class TestTaintBudgets:
     def test_tainted_bytes_cap_trips(self):
         tracker = TaintTracker(policy=TaintPolicy(max_tainted_bytes=4))
         with pytest.raises(TaintBudgetExceeded) as exc:
-            tracker.pipeline.taint(self._paddrs(8), Tag(TagType.NETFLOW, 1))
+            tracker.taint_range(self._paddrs(8), Tag(TagType.NETFLOW, 1))
         assert exc.value.resource == "tainted bytes"
         assert exc.value.used == 8 and exc.value.budget == 4
 
     def test_under_cap_is_silent(self):
         tracker = TaintTracker(policy=TaintPolicy(max_tainted_bytes=8))
-        tracker.pipeline.taint(self._paddrs(8), Tag(TagType.NETFLOW, 1))
+        tracker.taint_range(self._paddrs(8), Tag(TagType.NETFLOW, 1))
         assert tracker.shadow.tainted_bytes == 8
 
     def test_prov_node_cap_uses_a_private_interner(self):
@@ -110,7 +110,7 @@ class TestTaintBudgets:
 
     def test_no_budget_means_no_checks(self):
         tracker = TaintTracker(policy=TaintPolicy())
-        tracker.pipeline.taint(self._paddrs(64), Tag(TagType.NETFLOW, 1))
+        tracker.taint_range(self._paddrs(64), Tag(TagType.NETFLOW, 1))
         assert tracker.shadow.tainted_bytes == 64
 
 

@@ -151,5 +151,5 @@ class TestMachineFastPathSelection:
         # Dormant while the system holds no taint: the machine may run
         # its uninstrumented loop (the netflow-arrival optimisation).
         assert machine.plugins.needs_insn_effects() is False
-        faros.tracker.pipeline.taint((0x100,), Tag(TagType.NETFLOW, 0))
+        faros.tracker.taint_range((0x100,), Tag(TagType.NETFLOW, 0))
         assert machine.plugins.needs_insn_effects() is True

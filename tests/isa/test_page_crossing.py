@@ -95,7 +95,7 @@ class TestPageCrossingTaint:
         )
         proc = machine.kernel.spawn("t.exe")
         src = proc.aspace.translate_range(prog.label("src"), 4, AccessKind.READ)
-        tracker.pipeline.taint(src, SEED)
+        tracker.taint_range(src, SEED)
         machine.run(200_000)
         written = proc.aspace.translate_range(
             prog.label("dst") + 254, 4, AccessKind.READ

@@ -87,7 +87,7 @@ def run_one(body, seeds=(), policy=None, translate=True, budget=300_000, **confi
     proc = machine.kernel.spawn("t.exe")
     for label, n, *rest in seeds:
         paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        tracker.pipeline.taint(paddrs, rest[0] if rest else SEED)
+        tracker.taint_range(paddrs, rest[0] if rest else SEED)
     stats = machine.run(budget)
     return machine, tracker, stats
 
@@ -418,7 +418,7 @@ class TestTickExactnessInsideTaintedBlocks:
             paddrs = proc.aspace.translate_range(
                 prog.label("src"), 4, AccessKind.READ
             )
-            tracker.pipeline.taint(paddrs, SEED)
+            tracker.taint_range(paddrs, SEED)
             machine.schedule(
                 97, InjectedMachineFault("DeviceFault", "mid-block probe")
             )

@@ -14,7 +14,9 @@ channel taint can move through:
   shadow memory, register banks, and tainted-load observations;
 * **kernel copies and external writes** -- random ``phys_copy`` /
   ``phys_write`` / ``taint_range`` sequences, with and without an acting
-  process;
+  process, plus the trackers' channel methods driven directly with
+  scattered (multi-run) and empty ranges, clears and frame frees,
+  comparing the per-event counters as well;
 * **detection verdicts** -- every FAROS attack scenario (and a benign
   corpus sample) analysed by a fast-path ``Faros`` and a reference
   ``Faros`` side by side, asserting the flagged sets never drift;
@@ -47,7 +49,7 @@ the fast path legitimately skips all-clean instructions, which can never
 contribute to a confluence verdict.
 """
 
-from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,7 @@ from repro.emulator.machine import Machine, MachineConfig
 from repro.emulator.record_replay import PacketEvent
 from repro.faros import Faros
 from repro.isa.cpu import AccessKind
+from repro.isa.memory import PAGE_SHIFT
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
 from repro.taint.provenance import append_tag
@@ -309,8 +312,8 @@ def run_program_differential(body, policy, seeds):
 
     def seed(label, n, tag):
         paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        fast.pipeline.taint(paddrs, tag)
-        ref.pipeline.taint(paddrs, tag)
+        fast.taint_range(paddrs, tag)
+        ref.taint_range(paddrs, tag)
 
     if "a" in seeds:
         seed("in_a", 4, SEED_A)
@@ -367,8 +370,8 @@ def run_kernel_differential(ops, process_tags):
     for op in ops:
         if op[0] == "taint":
             paddrs = range(SCRATCH_BASE + op[1], SCRATCH_BASE + op[1] + op[2])
-            fast.pipeline.taint(paddrs, op[3])
-            ref.pipeline.taint(paddrs, op[3])
+            fast.taint_range(paddrs, op[3])
+            ref.taint_range(paddrs, op[3])
         elif op[0] == "copy":
             dst = range(SCRATCH_BASE + op[1], SCRATCH_BASE + op[1] + op[3])
             src = range(SCRATCH_BASE + op[2], SCRATCH_BASE + op[2] + op[3])
@@ -401,8 +404,8 @@ class TestKernelPathDifferential:
         seeder = Plugin()
 
         def on_rx(m, packet, paddrs):
-            fast.pipeline.taint(paddrs, SEED_A)
-            ref.pipeline.taint(paddrs, SEED_A)
+            fast.taint_range(paddrs, SEED_A)
+            ref.taint_range(paddrs, SEED_A)
 
         seeder.on_packet_receive = on_rx
         machine.plugins.register(seeder)
@@ -447,6 +450,75 @@ class TestKernelPathDifferential:
         assert fast.shadow.tainted_bytes > 0  # the pipeline really moved taint
 
 
+#: Address tuples for the direct channel calls: sorted but possibly
+#: gapped, so one event spans several contiguous runs, and possibly
+#: empty, which must leave every per-event counter alone.
+scattered = st.lists(offsets, max_size=12, unique=True).map(
+    lambda xs: tuple(SCRATCH_BASE + x for x in sorted(xs))
+)
+scratch_frames = st.lists(
+    st.integers(SCRATCH_BASE >> PAGE_SHIFT, (SCRATCH_BASE + SCRATCH_SIZE - 1) >> PAGE_SHIFT),
+    max_size=4,
+).map(tuple)
+
+channel_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("taint"), scattered, st.sampled_from(TAGS)),
+        st.tuples(st.just("clear"), scattered),
+        st.tuples(st.just("write"), scattered),
+        st.tuples(st.just("copy"), offsets, offsets, st.integers(0, 48), st.booleans()),
+        st.tuples(st.just("free"), scratch_frames),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+#: The acting process of a channel copy; only its cr3 is read.
+ACTOR = SimpleNamespace(cr3=0x7000)
+
+
+def apply_channel_op(tracker, op):
+    name = op[0]
+    if name == "taint":
+        tracker.taint_range(op[1], op[2])
+    elif name == "clear":
+        tracker.clear_range(op[1])
+    elif name == "write":
+        tracker.on_phys_write(None, op[1], "fuzz")
+    elif name == "copy":
+        dst = tuple(range(SCRATCH_BASE + op[1], SCRATCH_BASE + op[1] + op[3]))
+        src = tuple(range(SCRATCH_BASE + op[2], SCRATCH_BASE + op[2] + op[3]))
+        tracker.on_phys_copy(None, dst, src, ACTOR if op[4] else None)
+    else:
+        tracker.on_frames_freed(None, op[1])
+
+
+def run_channel_differential(ops, process_tags):
+    policy = TaintPolicy(process_tags_on_access=process_tags)
+    tags = TagStore()
+    fast = TaintTracker(policy=policy, tags=tags, interner=ProvInterner())
+    ref = ReferenceTaintTracker(policy=policy, tags=tags)
+    for op in ops:
+        apply_channel_op(fast, op)
+        apply_channel_op(ref, op)
+    assert fast.shadow.snapshot() == ref.shadow.snapshot()
+    assert fast.shadow.tainted_bytes == ref.shadow.tainted_bytes
+    assert fast.stats == ref.stats
+
+
+class TestChannelEventDifferential:
+    @given(ops=channel_ops, process_tags=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_quick(self, ops, process_tags):
+        run_channel_differential(ops, process_tags)
+
+    @pytest.mark.slow
+    @given(ops=channel_ops, process_tags=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exhaustive(self, ops, process_tags):
+        run_channel_differential(ops, process_tags)
+
+
 # ======================================================================
 # 4. translate matrix: translated-taint vs interpreter vs reference
 # ======================================================================
@@ -468,7 +540,7 @@ def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
 
     def seed(label, n, tag):
         paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        tracker.pipeline.taint(paddrs, tag)
+        tracker.taint_range(paddrs, tag)
 
     if "a" in seeds:
         seed("in_a", 4, SEED_A)
@@ -737,138 +809,3 @@ class TestProgramRepresentationMatrix:
     def test_exhaustive(self, body, policy, seeds):
         run_representation_matrix(body, policy, seeds)
 
-
-# ======================================================================
-# 7. pipeline-transport matrix: inline vs batched vs worker
-# ======================================================================
-
-
-def run_pipeline_matrix(body, policy, seeds, modes=("inline", "batched")):
-    """The translate matrix again, across event-transport modes.
-
-    Drop-free batched/worker runs queue channel events and drain them at
-    the machine's consistency barriers; they must stay bit-identical to
-    the inline transport down to interner counters, retirement splits
-    and tainted-load observations.
-    """
-    legs = {}
-    for mode in modes:
-        tracker = TaintTracker(
-            policy=policy, interner=ProvInterner(), taint_pipeline=mode
-        )
-        machine, obs = run_single(body, policy, seeds, tracker, translate=True)
-        legs[mode] = (machine, tracker, obs)
-
-    machine_b, base, obs_b = legs[modes[0]]
-    for mode in modes[1:]:
-        machine_m, tracker, obs_m = legs[mode]
-        pipe = tracker.pipeline
-        assert pipe.drops == 0, f"{mode}: a drop-free run soft-dropped"
-        assert pipe.depth == 0, f"{mode}: events left queued after the run"
-        assert machine_m.now == machine_b.now
-        assert tracker.shadow.snapshot() == base.shadow.snapshot(), mode
-        assert tracker.shadow.tainted_bytes == base.shadow.tainted_bytes, mode
-        assert tracker.banks.snapshot() == base.banks.snapshot(), mode
-        assert tracker.stats.instructions == base.stats.instructions, mode
-        assert tracker.stats.fast_retirements == base.stats.fast_retirements, mode
-        assert tracker.stats.slow_retirements == base.stats.slow_retirements, mode
-        assert tracker.stats.external_writes == base.stats.external_writes, mode
-        assert tracker.stats.kernel_copies == base.stats.kernel_copies, mode
-        assert (
-            tracker.stats.process_tag_appends == base.stats.process_tag_appends
-        ), mode
-        assert (tracker.interner.hits, tracker.interner.misses) == (
-            base.interner.hits,
-            base.interner.misses,
-        ), f"interner call sequences diverged in pipeline mode {mode}"
-        assert tainted_observations(obs_m) == tainted_observations(obs_b), mode
-        if mode == "worker":
-            summary = pipe.close()
-            assert pipe.worker_error is None, pipe.worker_error
-            assert summary is not None and summary["records"] > 0
-
-
-class TestPipelineTransportDifferential:
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=20, deadline=None)
-    def test_quick_batched(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds)
-
-    def test_worker_leg_fixed_program(self):
-        """One deterministic program through all three transports; the
-        worker leg forks a consumer process, so it runs once, not per
-        hypothesis example."""
-        body = "\n".join(
-            [
-                "start:",
-                "    movi r6, in_a",
-                "    ld r1, [r6]",
-                "    movi r6, in_b",
-                "    ld r2, [r6]",
-                "    add r3, r1, r2",
-                "    movi r6, buf",
-                "    st [r6], r3",
-                "    ld r4, [r6]",
-                "    push r4",
-                "    pop r5",
-                "    movi r6, out",
-                "    st [r6], r5",
-                "    jmp park",
-                "pad_data: .space 8192",
-                "in_a: .word 0x1234",
-                "in_b: .word 0xbeef",
-                "buf: .space 32",
-                "out: .space 20",
-            ]
-        )
-        run_pipeline_matrix(
-            body, TaintPolicy(), "ab", modes=("inline", "batched", "worker")
-        )
-
-    @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=100, deadline=None)
-    def test_exhaustive_batched(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds)
-
-    @pytest.mark.slow
-    @given(body=guest_programs(), policy=policies, seeds=seed_choices)
-    @settings(max_examples=25, deadline=None)
-    def test_exhaustive_worker(self, body, policy, seeds):
-        run_pipeline_matrix(body, policy, seeds, modes=("inline", "worker"))
-
-    @staticmethod
-    def assert_attack_identical(name, mode):
-        """A real attack replay through a non-inline transport must be
-        bit-identical to inline: verdict, delivery journal, rendered
-        report, shadow state, stats and interner call sequences."""
-        base = Faros()
-        machine_base = ATTACKS[name]().scenario.run(plugins=[base])
-        alt = Faros(taint_pipeline=mode)
-        machine_alt = ATTACKS[name]().scenario.run(plugins=[alt])
-        assert alt.pipeline.drops == 0
-        assert alt.pipeline.depth == 0
-        assert base.attack_detected and alt.attack_detected
-        assert [(at, repr(ev)) for at, ev in machine_alt.journal] == [
-            (at, repr(ev)) for at, ev in machine_base.journal
-        ]
-        assert alt.report().to_json_dict() == base.report().to_json_dict()
-        assert alt.report().render() == base.report().render()
-        assert flag_keys(alt) == flag_keys(base)
-        assert alt.tracker.shadow.snapshot() == base.tracker.shadow.snapshot()
-        assert astuple(alt.tracker.stats) == astuple(base.tracker.stats)
-        assert (alt.tracker.interner.hits, alt.tracker.interner.misses) == (
-            base.tracker.interner.hits,
-            base.tracker.interner.misses,
-        ), f"interner call sequences diverged on {name} under {mode}"
-
-    @pytest.mark.parametrize("name", sorted(ATTACKS))
-    def test_attack_corpus_bit_identical_batched(self, name):
-        self.assert_attack_identical(name, "batched")
-
-    # The worker leg forks a consumer per run, so it covers two
-    # representative families rather than the whole corpus; the slow
-    # suite's randomized worker matrix backs up the rest.
-    @pytest.mark.parametrize("name", ["code_injection", "reflective_dll"])
-    def test_attack_corpus_bit_identical_worker(self, name):
-        self.assert_attack_identical(name, "worker")

@@ -50,7 +50,7 @@ def run_program(body):
 
 def seed_label(tracker, proc, prog, label, n, tag):
     paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-    tracker.pipeline.taint(paddrs, tag)
+    tracker.taint_range(paddrs, tag)
     return paddrs
 
 

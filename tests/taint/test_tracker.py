@@ -11,9 +11,12 @@ import pytest
 from repro.emulator.devices import Packet
 from repro.emulator.machine import Machine, MachineConfig
 from repro.emulator.record_replay import PacketEvent
+from repro.faros import Faros
 from repro.isa.cpu import AccessKind
 from repro.isa.registers import Reg
+from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
+from repro.taint.reference import ReferenceTaintTracker
 from repro.taint.tags import Tag, TagType
 from repro.taint.tracker import TaintTracker
 
@@ -47,7 +50,7 @@ def paddrs_of(proc, prog, label, n):
 
 
 def seed(tracker, proc, prog, label, n, tag=SEED):
-    tracker.pipeline.taint(paddrs_of(proc, prog, label, n), tag)
+    tracker.taint_range(paddrs_of(proc, prog, label, n), tag)
 
 
 class TestDirectFlows:
@@ -209,8 +212,8 @@ class TestDirectFlows:
         )
         # Byte 0 gets SEED, byte 1 gets `other`: LDB [src+1] must carry only `other`.
         (p0, p1, p2, p3) = paddrs_of(proc, prog, "src", 4)
-        tracker.pipeline.taint([p0], SEED)
-        tracker.pipeline.taint([p1], other)
+        tracker.taint_range([p0], SEED)
+        tracker.taint_range([p1], other)
         machine.run(300_000)
         assert tracker.prov_of_range(paddrs_of(proc, prog, "dst", 1)) == (other,)
 
@@ -346,12 +349,12 @@ class TestKernelMediatedFlows:
                 self.tracker = tracker
 
             def on_packet_receive(self, machine, packet, paddrs):
-                self.tracker.pipeline.taint(paddrs, SEED)
+                self.tracker.taint_range(paddrs, SEED)
 
         from repro.emulator.plugins import Plugin
 
         seeder = Plugin()
-        seeder.on_packet_receive = lambda m, p, a: tracker.pipeline.taint(a, SEED)
+        seeder.on_packet_receive = lambda m, p, a: tracker.taint_range(a, SEED)
         machine.plugins.register(seeder)
 
         prog = register_asm(
@@ -393,16 +396,58 @@ class TestKernelMediatedFlows:
     def test_phys_write_clears_stale_taint(self):
         machine, tracker, proc, prog = launch("start: jmp park\nbuf: .space 4")
         paddrs = paddrs_of(proc, prog, "buf", 4)
-        tracker.pipeline.taint(paddrs, SEED)
+        tracker.taint_range(paddrs, SEED)
         machine.phys_write(paddrs, b"\x00" * 4, source="keyboard")
         assert tracker.prov_of_range(paddrs) == ()
 
     def test_freed_frames_drop_shadow(self):
         machine, tracker, proc, prog = launch("start: jmp park\nbuf: .space 4")
         paddrs = paddrs_of(proc, prog, "buf", 4)
-        tracker.pipeline.taint(paddrs, SEED)
+        tracker.taint_range(paddrs, SEED)
         machine.kernel.terminate_process(proc, 0)
         assert tracker.prov_of_range(paddrs) == ()
+
+    def test_channel_methods_apply_directly(self):
+        tracker = TaintTracker(interner=ProvInterner())
+        tracker.taint_range(range(0, 8), SEED)
+        assert tracker.shadow.tainted_bytes == 8
+        tracker.on_phys_copy(None, tuple(range(16, 24)), tuple(range(0, 8)))
+        assert tracker.shadow.get(16) == (SEED,)
+        tracker.clear_range(range(0, 8))
+        assert tracker.shadow.get(0) == ()
+        tracker.on_phys_write(None, tuple(range(16, 24)), "dma")
+        assert tracker.shadow.tainted_bytes == 0
+        assert tracker.stats.external_writes == 1
+        assert tracker.stats.kernel_copies == 1
+
+    @staticmethod
+    def _faros_channel_run(tracker_cls):
+        """One kernel copy and one external write through a machine
+        running FAROS; each must reach the tracker exactly once."""
+        machine = Machine(MachineConfig())
+        faros = Faros(tracker_cls=tracker_cls)
+        machine.plugins.register(faros)
+        register_asm(machine, "c.exe", "start: jmp park", PARK)
+        actor = machine.kernel.spawn("c.exe")
+        tracker = faros.tracker
+        src = tuple(range(0x2000, 0x2010))
+        dst = tuple(range(0x2100, 0x2110))
+        tracker.taint_range(src, SEED)
+        copies, writes = tracker.stats.kernel_copies, tracker.stats.external_writes
+        machine.phys_copy(dst, src, actor=actor)
+        assert tracker.stats.kernel_copies == copies + 1
+        machine.phys_write(src[:8], bytes(8), source="dma")
+        assert tracker.stats.external_writes == writes + 1
+        assert tracker.stats.kernel_copies == copies + 1
+        return tracker, tracker.tags.process_tag(actor.cr3)
+
+    def test_faros_applies_each_channel_event_once(self):
+        fast, actor_tag = self._faros_channel_run(TaintTracker)
+        ref, _ = self._faros_channel_run(ReferenceTaintTracker)
+        assert fast.shadow.get(0x2100) == (SEED, actor_tag)
+        assert fast.shadow.get(0x2000) == ()
+        assert fast.shadow.get(0x2008) == (SEED,)
+        assert fast.shadow.snapshot() == ref.shadow.snapshot()
 
 
 class TestProcessTagEnrichment:
@@ -493,7 +538,7 @@ class TestLoadListeners:
         insn_paddrs = proc.aspace.translate_range(
             prog.base + 8, 8, AccessKind.READ
         )
-        tracker.pipeline.taint(insn_paddrs, SEED)
+        tracker.taint_range(insn_paddrs, SEED)
         seen = []
         tracker.add_load_listener(lambda m, obs: seen.append(obs.insn_prov))
         machine.run(300_000)
@@ -533,7 +578,7 @@ class TestContextSwitchIsolation:
         )
         proc_a = machine.kernel.spawn("tainty.exe")
         proc_b = machine.kernel.spawn("clean.exe")
-        tracker.pipeline.taint(paddrs_of(proc_a, prog_a, "src", 4), SEED)
+        tracker.taint_range(paddrs_of(proc_a, prog_a, "src", 4), SEED)
         machine.run(300_000)
         assert tracker.prov_of_range(paddrs_of(proc_b, prog_b, "dst", 4)) == ()
         bank_a = tracker.banks.for_thread(proc_a.main_thread.tid)
@@ -574,7 +619,7 @@ class TestContextSwitchIsolation:
             PARK,
         )
         proc = machine.kernel.spawn("self.exe")
-        tracker.pipeline.taint(paddrs_of(proc, prog, "src", 4), SEED)
+        tracker.taint_range(paddrs_of(proc, prog, "src", 4), SEED)
         machine.run(300_000)
         assert len(proc.threads) == 2
         assert tracker.prov_of_range(paddrs_of(proc, prog, "dst", 4)) == ()
@@ -663,7 +708,7 @@ class TestStats:
         from repro.emulator.plugins import Plugin
 
         seeder = Plugin()
-        seeder.on_packet_receive = lambda m, p, a: tracker.pipeline.taint(a, SEED)
+        seeder.on_packet_receive = lambda m, p, a: tracker.taint_range(a, SEED)
         machine.plugins.register(seeder)
         prog = register_asm(
             machine,
