@@ -1,9 +1,10 @@
-"""Supervised triage workers: heartbeats, watchdogs, restart-with-backoff.
+"""The supervised worker pool: heartbeats, watchdogs, restart-with-backoff.
 
-The triage pool in :mod:`repro.analysis.triage` is batch-shaped: it
-lives for one ``run_triage`` call and its crash handling is woven into
-the dispatch loop.  A long-running service needs the supervision
-concerns pulled out into a tree it can reason about:
+Every multi-process triage run goes through this one pool.  Batch runs
+(:func:`repro.analysis.triage.run_triage` with ``jobs >= 2``) and the
+long-running service (:mod:`repro.serve.service`) both drive it with
+:meth:`WorkerPool.submit` and :meth:`WorkerPool.poll`, so crash
+handling, retry policy and fault classification exist once:
 
 * :class:`SupervisedWorker` -- one child process executing one job at a
   time, built on raw ``os.fork`` rather than :mod:`multiprocessing`
@@ -17,11 +18,12 @@ concerns pulled out into a tree it can reason about:
   heartbeat stalls as events; dead slots restart with exponential
   backoff; every death is classified through the
   :mod:`repro.faults` taxonomy (``WorkerCrash``/``WorkerStalled``/
-  ``Timeout``) so the caller's retry policy is one table lookup.
+  ``Timeout``).
+* :func:`settle_death` -- the one retry rule, turning a death event
+  into either a retry or the job's ERROR row.
 
-The pool deliberately owns no retry policy and no queue -- those belong
-to the service's scheduler (:mod:`repro.serve.service`), which also
-journals them.
+The pool owns no queue: the batch keeps its submission-ordered backlog
+and the service its journaled priority lanes.
 """
 
 from __future__ import annotations
@@ -32,9 +34,14 @@ import signal
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.analysis.triage import TriageJob, TriageResult, execute_job
+from repro.analysis.triage import (
+    STATUS_ERROR,
+    TriageJob,
+    TriageResult,
+    execute_job,
+)
 from repro.faults.errors import FaultRecord
 from repro.faults.watchdog import (
     PROGRESS_SLOTS,
@@ -53,11 +60,11 @@ DEFAULT_RESTART_BACKOFF = 0.05
 MAX_RESTART_BACKOFF = 5.0
 
 
-def _child_main(conn, progress, run_job: Callable) -> None:
+def _child_main(conn, progress) -> None:
     """The forked worker body.  Never returns -- exits the process."""
     set_progress_sink(SharedProgressSink(progress))
-    # The service parent handles SIGINT/SIGTERM itself; workers must not
-    # die to a Ctrl-C aimed at the foreground process group.
+    # The parent handles SIGINT/SIGTERM itself; workers must not die to
+    # a Ctrl-C aimed at the foreground process group.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 0
     try:
@@ -69,7 +76,7 @@ def _child_main(conn, progress, run_job: Callable) -> None:
             if msg is None:
                 break
             job, attempt = msg
-            result = run_job(job, attempt=attempt)
+            result = execute_job(job, attempt=attempt)
             # Heartbeat for jobs that never enter the machine run loop
             # (pyfunc jobs): completing a job is progress too.
             progress[3] = 1
@@ -94,8 +101,7 @@ class SupervisedWorker:
     sides inherit them; the parent keeps one end, the child the other.
     """
 
-    def __init__(self, run_job: Callable = execute_job) -> None:
-        self._run_job = run_job
+    def __init__(self) -> None:
         self.conn, child_conn = multiprocessing.Pipe()
         self.progress = multiprocessing.Array("q", PROGRESS_SLOTS, lock=False)
         SharedProgressSink(self.progress).reset()
@@ -103,7 +109,7 @@ class SupervisedWorker:
         if pid == 0:
             # Child: drop the parent's pipe end and serve jobs forever.
             self.conn.close()
-            _child_main(child_conn, self.progress, run_job)
+            _child_main(child_conn, self.progress)
             os._exit(0)  # pragma: no cover - _child_main never returns
         child_conn.close()
         self.pid = pid
@@ -156,8 +162,12 @@ class SupervisedWorker:
         return True
 
     @property
-    def exit_status(self) -> Optional[int]:
-        return self._reaped
+    def exit_code(self) -> Optional[int]:
+        """The reaped process's exit code, negative for the signal that
+        killed it (``multiprocessing``'s convention); None until reaped."""
+        if self._reaped is None or self._reaped < 0:
+            return None
+        return os.waitstatus_to_exitcode(self._reaped)
 
     # -- teardown ----------------------------------------------------------------
 
@@ -200,9 +210,11 @@ class WorkerEvent:
     """One thing the pool observed during :meth:`WorkerPool.poll`.
 
     ``kind`` is ``"result"`` (``result`` set) or one of the death kinds
-    ``"crash"`` / ``"timeout"`` / ``"stalled"`` (``fault`` set, carrying
-    the worker's last published guest state).  Death events always mean
-    the in-flight ``job`` did not produce a result; the pool has already
+    ``"crash"`` / ``"timeout"`` / ``"stalled"`` -- or ``"shutdown"``
+    from :meth:`WorkerPool.shutdown` -- with ``fault`` set, carrying the
+    worker's last published guest state, plus the dead worker's ``pid``
+    and how long the job had run.  Death events always mean the
+    in-flight ``job`` did not produce a result; the pool has already
     scheduled the slot's replacement.
     """
 
@@ -211,6 +223,31 @@ class WorkerEvent:
     attempt: int = 0
     result: Optional[TriageResult] = None
     fault: Optional[FaultRecord] = None
+    pid: int = 0
+    duration_s: float = 0.0
+
+
+def settle_death(event: WorkerEvent, max_retries: int) -> Optional[TriageResult]:
+    """The retry rule for a job whose worker died under it.
+
+    Returns None when the job should run again at ``event.attempt + 1``:
+    the death is retryable, it is not a timeout (a deterministic job
+    that overran once would overrun again), and ``event.attempt`` is
+    still within *max_retries*.  Otherwise returns the job's ERROR row.
+    """
+    fault = event.fault
+    if (fault.retryable and event.kind != "timeout"
+            and event.attempt <= max_retries):
+        return None
+    job = event.job
+    return TriageResult(
+        job_id=job.job_id, name=job.name, kind=job.kind,
+        status=STATUS_ERROR, verdict=False,
+        error=(f"{event.kind}: {fault.detail} on attempt "
+               f"{event.attempt}/{max_retries + 1} (worker pid {event.pid})"),
+        duration_s=event.duration_s, attempts=event.attempt,
+        worker_pid=event.pid, fault=fault.to_json_dict(),
+    )
 
 
 @dataclass
@@ -224,32 +261,25 @@ class _Slot:
 class WorkerPool:
     """N supervised slots with restart-on-death and health surfacing.
 
-    The pool is a mechanism, not a policy: :meth:`poll` reports what
-    happened and keeps every slot eventually-alive; deciding whether a
-    dead job is retried (its fault is ``retryable``) or becomes an
-    ERROR row is the caller's move.
+    The pool is a mechanism: :meth:`poll` reports what happened and
+    keeps every slot eventually-alive, and the caller hands each death
+    event to :func:`settle_death` to learn whether the job is retried or
+    written off as an ERROR row.
     """
 
     def __init__(self, size: int,
                  timeout: Optional[float] = None,
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-                 restart_backoff: float = DEFAULT_RESTART_BACKOFF,
-                 run_job: Callable = execute_job) -> None:
+                 restart_backoff: float = DEFAULT_RESTART_BACKOFF) -> None:
         self.size = max(1, size)
         self.timeout = timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.restart_backoff = restart_backoff
-        self._run_job = run_job
-        self._slots: List[_Slot] = []
-        for _ in range(self.size):
-            slot = _Slot()
-            self._spawn(slot)
-            self._slots.append(slot)
+        self._slots: List[_Slot] = [
+            _Slot(worker=SupervisedWorker()) for _ in range(self.size)
+        ]
 
     # -- slot management ---------------------------------------------------------
-
-    def _spawn(self, slot: _Slot) -> None:
-        slot.worker = SupervisedWorker(self._run_job)
 
     def _schedule_restart(self, slot: _Slot) -> None:
         slot.worker = None
@@ -265,7 +295,7 @@ class WorkerPool:
         now = time.monotonic()
         for slot in self._slots:
             if slot.worker is None and slot.restart_at <= now:
-                self._spawn(slot)
+                slot.worker = SupervisedWorker()
 
     # -- capacity ----------------------------------------------------------------
 
@@ -277,10 +307,6 @@ class WorkerPool:
     def busy_count(self) -> int:
         return sum(1 for s in self._slots
                    if s.worker is not None and s.worker.job is not None)
-
-    def in_flight(self) -> List[TriageJob]:
-        return [s.worker.job for s in self._slots
-                if s.worker is not None and s.worker.job is not None]
 
     def stats(self) -> dict:
         return {
@@ -294,12 +320,24 @@ class WorkerPool:
     # -- the supervision pass ----------------------------------------------------
 
     def submit(self, job: TriageJob, attempt: int = 1) -> bool:
-        """Hand *job* to an idle worker; False when none is available."""
-        idle = self.idle_workers()
-        if not idle:
-            return False
-        idle[0].submit(job, attempt, timeout=self.timeout)
-        return True
+        """Hand *job* to an idle worker; False when none is available.
+
+        A worker that died while idle held no job, so its slot gets a
+        fresh worker at once and *job* keeps its attempt number.
+        """
+        self._restart_due()
+        for slot in self._slots:
+            if slot.worker is None or slot.worker.job is not None:
+                continue
+            try:
+                slot.worker.submit(job, attempt, timeout=self.timeout)
+            except OSError:  # BrokenPipeError: the worker died while idle
+                slot.worker.kill()
+                slot.worker = SupervisedWorker()
+                slot.restarts += 1
+                slot.worker.submit(job, attempt, timeout=self.timeout)
+            return True
+        return False
 
     def poll(self, wait: float = 0.1) -> List[WorkerEvent]:
         """One supervision pass: collect results, detect deaths.
@@ -355,41 +393,53 @@ class WorkerPool:
         return events
 
     def _death(self, slot: _Slot, kind: str) -> WorkerEvent:
-        worker = slot.worker
-        job, attempt = worker.job, worker.attempt
-        progress = worker.last_progress() or {}
-        exit_status = worker.exit_status
-        worker.kill()
+        event = self._kill(slot.worker, kind)
         self._schedule_restart(slot)
-        fault_kind, detail = {
-            "crash": ("WorkerCrash",
-                      f"worker pid {worker.pid} died"
-                      f" (wait status {exit_status})"),
-            "timeout": ("Timeout",
-                        f"exceeded {self.timeout:g}s wall clock"
-                        if self.timeout else "deadline exceeded"),
-            "stalled": ("WorkerStalled",
-                        f"no progress for {self.heartbeat_timeout:g}s"),
-        }[kind]
+        return event
+
+    def _kill(self, worker: SupervisedWorker, kind: str) -> WorkerEvent:
+        """SIGKILL *worker* and account for the job it held."""
+        progress = worker.last_progress() or {}
+        worker.kill()
+        if kind == "crash":
+            fault_kind = "WorkerCrash"
+            detail = f"worker died (exit code {worker.exit_code})"
+        elif kind == "timeout":
+            fault_kind = "Timeout"
+            detail = f"exceeded {self.timeout:g}s wall clock"
+        elif kind == "stalled":
+            fault_kind = "WorkerStalled"
+            detail = f"no progress for {self.heartbeat_timeout:g}s"
+        else:
+            fault_kind, detail = "Shutdown", "killed at shutdown"
         fault = FaultRecord(
             kind=fault_kind, detail=detail,
             tick=progress.get("tick"), pc=progress.get("pc"),
             syscall=progress.get("syscall"),
         )
-        return WorkerEvent(kind=kind, job=job, attempt=attempt, fault=fault)
+        return WorkerEvent(
+            kind=kind, job=worker.job, attempt=worker.attempt, fault=fault,
+            pid=worker.pid, duration_s=time.monotonic() - worker.submitted_at,
+        )
 
     # -- teardown ----------------------------------------------------------------
 
-    def shutdown(self, graceful: bool = True) -> None:
+    def shutdown(self, graceful: bool = True) -> List[WorkerEvent]:
+        """Stop every worker: idle ones close gracefully when *graceful*,
+        busy ones are killed.  Returns a ``"shutdown"`` event for each
+        job killed in flight."""
+        killed: List[WorkerEvent] = []
         for slot in self._slots:
-            worker = slot.worker
-            slot.worker = None
+            worker, slot.worker = slot.worker, None
             if worker is None:
                 continue
-            if graceful and worker.job is None:
+            if worker.job is not None:
+                killed.append(self._kill(worker, "shutdown"))
+            elif graceful:
                 worker.close()
             else:
                 worker.kill()
+        return killed
 
     def __enter__(self) -> "WorkerPool":
         return self

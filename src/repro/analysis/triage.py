@@ -9,11 +9,12 @@ module provides that layer:
   (kind + builder kwargs, never live machines/scenarios) that a worker
   resolves against :data:`JOB_KINDS` and executes via the deterministic
   record/replay substrate;
-* :func:`run_triage` shards jobs across a ``multiprocessing`` worker
-  pool with a per-sample wall-clock **timeout** and **bounded retry**
-  on worker crash -- a sample that times out, or whose worker dies on
-  every attempt, becomes an ``ERROR`` :class:`TriageResult` row while
-  the rest of the batch completes;
+* :func:`run_triage` shards jobs across the supervised worker pool
+  (:mod:`repro.analysis.supervisor`) with a per-sample wall-clock
+  **timeout** and **bounded retry** on worker death -- a sample that
+  times out, or whose worker dies on every attempt, becomes an
+  ``ERROR`` :class:`TriageResult` row while the rest of the batch
+  completes;
 * every outcome is a serializable :class:`TriageResult` (verdict,
   provenance-chain summary, exit code, timings, tracker stats) so the
   cross-process result channel is plain data, and the aggregator
@@ -29,7 +30,6 @@ between them.  See ``docs/triage_engine.md``.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import operator
 import os
 import signal
@@ -39,7 +39,6 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks import (
@@ -53,12 +52,6 @@ from repro.baselines import CuckooSandbox
 from repro.emulator.record_replay import record, replay
 from repro.faults.errors import EmulatorFault, FaultRecord
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import (
-    PROGRESS_SLOTS,
-    SharedProgressSink,
-    read_progress,
-    set_progress_sink,
-)
 from repro.faros import Faros
 from repro.faros.report import ProvenanceChain, ReportSummary
 from repro.obs.session import ObsSession
@@ -78,13 +71,9 @@ STATUS_DEGRADED = "DEGRADED"
 #: default of 1 means "crashes twice -> ERROR").
 DEFAULT_MAX_RETRIES = 1
 
-#: Base delay before re-dispatching a crash-retried job; doubles per
-#: additional attempt.  A crashed worker is a *host*-transient fault, so
-#: backing off gives transient pressure (OOM killer, fork storms) room
-#: to clear instead of immediately re-hitting it.
-DEFAULT_RETRY_BACKOFF = 0.05
-
-_POLL_INTERVAL = 0.1
+#: Seconds in-flight jobs get to finish once SIGINT/SIGTERM stops a
+#: batch; whatever is still running then is killed and reported.
+DRAIN_TIMEOUT = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -477,134 +466,45 @@ def execute_job(job: TriageJob, attempt: int = 1) -> TriageResult:
 
 
 # ----------------------------------------------------------------------
-# the worker pool
+# the batch driver
 # ----------------------------------------------------------------------
 
-def _mp_context():
-    """Fork where available (cheap workers, inherited registries);
-    spawn otherwise -- job kinds resolve by import either way."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        return multiprocessing.get_context("spawn")
+def run_triage(
+    jobs_list: Sequence[TriageJob],
+    jobs: int = 1,
+    timeout: Optional[float] = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+) -> List[TriageResult]:
+    """Execute *jobs_list*, returning one result per job in submission
+    order.
 
+    ``jobs=1`` runs everything in-process (no pool, no timeout
+    enforcement -- there is no worker to kill).  ``jobs>1`` runs the
+    batch on a :class:`~repro.analysis.supervisor.WorkerPool` of that
+    many workers; *timeout* bounds each sample's wall clock and
+    *max_retries* bounds re-dispatch after a worker death, under the
+    pool's :func:`~repro.analysis.supervisor.settle_death` rule.
 
-def _worker_main(conn, progress=None) -> None:
-    """Worker loop: receive (job, attempt), send back a TriageResult.
-
-    *progress* is the shared watchdog array the parent reads after a
-    timeout kill; installing it as the process-global progress sink
-    makes every machine this worker runs publish its last-known state
-    (instruction count, PC, active syscall) into it.
+    On SIGINT/SIGTERM the batch stops dispatching, gives in-flight jobs
+    :data:`DRAIN_TIMEOUT` seconds to finish, and converts whatever
+    remains (killed in-flight jobs, never-dispatched pending jobs) into
+    ERROR rows with ``Shutdown`` fault records carrying each worker's
+    last published guest state -- the batch still comes back complete
+    and in submission order.
     """
-    if progress is not None:
-        set_progress_sink(SharedProgressSink(progress))
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if msg is None:
-            return
-        job, attempt = msg
-        result = execute_job(job, attempt=attempt)
-        try:
-            conn.send(result)
-        except (BrokenPipeError, OSError):
-            return
+    if jobs <= 1:
+        return [execute_job(job) for job in jobs_list]
+    # Imported here: the supervisor imports this module at load time.
+    from repro.analysis.supervisor import WorkerPool, settle_death
 
-
-class _Worker:
-    """One pool member: a process plus the pipe the parent drives it by.
-
-    The parent hands a worker exactly one job at a time, so when the
-    process dies or overruns its deadline the parent knows precisely
-    which job was in flight.
-    """
-
-    def __init__(self, ctx) -> None:
-        self.conn, child = ctx.Pipe()
-        #: Shared last-known-state array the worker's machines publish
-        #: into; survives the worker being killed, which is the point.
-        self.progress = ctx.Array("q", PROGRESS_SLOTS, lock=False)
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, self.progress), daemon=True
-        )
-        self.proc.start()
-        child.close()
-        self.job: Optional[TriageJob] = None
-        self.attempt = 0
-        self.deadline: Optional[float] = None
-
-    def submit(self, job: TriageJob, attempt: int,
-               timeout: Optional[float]) -> None:
-        # Clear stale progress so a kill during *this* job can't be
-        # attributed guest state from the previous one.
-        SharedProgressSink(self.progress).reset()
-        self.conn.send((job, attempt))
-        self.job, self.attempt = job, attempt
-        self.deadline = time.monotonic() + timeout if timeout else None
-
-    def last_progress(self) -> Optional[dict]:
-        """Last guest state the worker published, or None if none yet."""
-        return read_progress(self.progress)
-
-    def finish(self) -> None:
-        self.job, self.attempt, self.deadline = None, 0, None
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
-        finally:
-            self.conn.close()
-
-    def close(self) -> None:
-        try:
-            self.conn.send(None)
-            self.conn.close()
-            self.proc.join(timeout=1.0)
-        except (BrokenPipeError, OSError):
-            pass
-        if self.proc.is_alive():  # pragma: no cover - stuck shutdown
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-
-
-def _wait_budget(workers: Sequence[_Worker], now: float) -> float:
-    deadlines = [w.deadline - now for w in workers if w.deadline is not None]
-    if not deadlines:
-        return _POLL_INTERVAL
-    return max(0.0, min(min(deadlines), _POLL_INTERVAL))
-
-
-def _kill_fault(kind: str, detail: str,
-                progress: Optional[dict]) -> FaultRecord:
-    """A host-side fault record, enriched with the watchdog's last-known
-    guest state (published into shared memory, so it survives the kill)."""
-    progress = progress or {}
-    return FaultRecord(
-        kind=kind, detail=detail,
-        tick=progress.get("tick"), pc=progress.get("pc"),
-        syscall=progress.get("syscall"),
-    )
-
-
-def _run_pool(jobs_list: Sequence[TriageJob], jobs: int,
-              timeout: Optional[float], max_retries: int,
-              retry_backoff: float,
-              drain_timeout: float = 5.0) -> Dict[int, TriageResult]:
-    ctx = _mp_context()
-    # Entries are (job, attempt, ready_at): a retried job only becomes
-    # dispatchable once its backoff delay has elapsed.
-    pending = deque((job, 1, 0.0) for job in jobs_list)
+    pending = deque((job, 1) for job in jobs_list)
     results: Dict[int, TriageResult] = {}
-    workers = [_Worker(ctx) for _ in range(max(1, min(jobs, len(jobs_list))))]
+    pool = WorkerPool(size=min(jobs, len(jobs_list)), timeout=timeout)
 
     # Graceful shutdown: SIGINT/SIGTERM stops dispatching and switches
     # to a bounded drain instead of tearing the pool down mid-flight.
     # Handlers only install on the main thread (signal rules); elsewhere
-    # the pool simply never sees the flag, which is the old behavior.
+    # the flag never sets.
     interrupted = threading.Event()
     previous_handlers = {}
     try:
@@ -613,196 +513,45 @@ def _run_pool(jobs_list: Sequence[TriageJob], jobs: int,
                 signum, lambda *_args: interrupted.set()
             )
     except ValueError:  # pragma: no cover - not on the main thread
-        previous_handlers = {}
+        pass
 
-    def drain() -> None:
-        """The SIGINT/SIGTERM path: give in-flight workers a deadline,
-        flush what completes, and turn everything else into ERROR rows
-        that carry each worker's last published guest state -- partial
-        results in submission order instead of a dropped batch."""
-        deadline = time.monotonic() + drain_timeout
-        while (time.monotonic() < deadline
-               and any(w.job is not None for w in workers)):
-            busy_conns = [w.conn for w in workers if w.job is not None]
-            ready = _connection_wait(
-                busy_conns,
-                timeout=max(0.0, min(_POLL_INTERVAL,
-                                     deadline - time.monotonic())),
-            )
-            for conn in ready:
-                w = next(w for w in workers if w.conn is conn)
-                try:
-                    result = conn.recv()
-                except (EOFError, OSError):
-                    # Crashed while draining: no retries during
-                    # shutdown, record what we know.
-                    results[w.job.job_id] = _error_result(
-                        w.job, w.attempt, "worker died during shutdown drain",
-                        fault=_kill_fault("Shutdown", "worker died during drain",
-                                          w.last_progress()).to_json_dict(),
-                    )
-                    w.kill()
-                    w.job = None
-                    continue
-                results[result.job_id] = result
-                w.finish()
-        for w in workers:
-            if w.job is None:
-                continue
-            progress = w.last_progress()
-            results[w.job.job_id] = _error_result(
-                w.job, w.attempt,
-                f"interrupted: shutdown drain deadline ({drain_timeout:g}s) "
-                "expired with the job in flight",
-                fault=_kill_fault(
-                    "Shutdown", "killed at shutdown drain deadline", progress,
-                ).to_json_dict(),
-            )
-            w.kill()
-            w.job = None
-        for job, attempt, _ready_at in pending:
-            results.setdefault(job.job_id, _error_result(
-                job, attempt, "interrupted: job was never dispatched",
-                fault=FaultRecord(
-                    kind="Shutdown", detail="pending at shutdown",
-                ).to_json_dict(),
-            ))
-        pending.clear()
-
-    def next_ready():
-        now = time.monotonic()
-        for idx, (job, attempt, ready_at) in enumerate(pending):
-            if ready_at <= now:
-                del pending[idx]
-                return job, attempt
-        return None
-
-    def requeue(job: TriageJob, attempt: int) -> None:
-        delay = retry_backoff * (2 ** (attempt - 2)) if retry_backoff else 0.0
-        pending.appendleft((job, attempt, time.monotonic() + delay))
-
+    drain_deadline: Optional[float] = None
     try:
-        while pending or any(w.job is not None for w in workers):
-            if interrupted.is_set():
-                drain()
+        while pool.busy_count() or (pending and drain_deadline is None):
+            if interrupted.is_set() and drain_deadline is None:
+                drain_deadline = time.monotonic() + DRAIN_TIMEOUT
+            if drain_deadline is None:
+                while pending and pool.submit(*pending[0]):
+                    pending.popleft()
+            elif time.monotonic() >= drain_deadline:
                 break
-            # Dispatch: keep every idle worker fed with ready jobs.
-            for i, w in enumerate(workers):
-                if w.job is not None:
+            for event in pool.poll():
+                if event.kind == "result":
+                    results[event.job.job_id] = event.result
                     continue
-                entry = next_ready()
-                if entry is None:
-                    break
-                job, attempt = entry
-                try:
-                    w.submit(job, attempt, timeout)
-                except (BrokenPipeError, OSError):
-                    # Worker died while idle: replace it, keep the job.
-                    w.kill()
-                    workers[i] = w = _Worker(ctx)
-                    w.submit(job, attempt, timeout)
-            busy = {w.conn: (i, w) for i, w in enumerate(workers)
-                    if w.job is not None}
-            now = time.monotonic()
-            if busy:
-                ready = _connection_wait(
-                    list(busy),
-                    timeout=_wait_budget([w for _, w in busy.values()], now),
-                )
-            else:
-                # Nothing in flight: everything pending is backing off.
-                time.sleep(min(_POLL_INTERVAL, retry_backoff or _POLL_INTERVAL))
-                ready = []
-            for conn in ready:
-                i, w = busy[conn]
-                try:
-                    result = conn.recv()
-                except (EOFError, OSError):
-                    # Crash mid-job (the pipe died with the process).
-                    job, attempt = w.job, w.attempt
-                    exitcode = w.proc.exitcode
-                    progress = w.last_progress()
-                    w.kill()
-                    workers[i] = _Worker(ctx)
-                    if attempt > max_retries:
-                        results[job.job_id] = _error_result(
-                            job, attempt,
-                            f"worker died (exit code {exitcode}) on "
-                            f"attempt {attempt}/{max_retries + 1}",
-                            fault=_kill_fault(
-                                "WorkerCrash",
-                                f"worker exit code {exitcode}",
-                                progress,
-                            ).to_json_dict(),
-                        )
-                    else:
-                        requeue(job, attempt + 1)
+                row = settle_death(event, max_retries)
+                if row is None:
+                    pending.appendleft((event.job, event.attempt + 1))
                 else:
-                    results[result.job_id] = result
-                    w.finish()
-            # Enforce per-sample wall-clock deadlines.  Timeouts are
-            # terminal (never retried): with a deterministic guest, the
-            # re-run would hit the same wall.
-            now = time.monotonic()
-            for i, w in enumerate(workers):
-                if w.job is None or w.deadline is None or now < w.deadline:
-                    continue
-                job, attempt = w.job, w.attempt
-                progress = w.last_progress()
-                w.kill()
-                workers[i] = _Worker(ctx)
-                results[job.job_id] = _error_result(
-                    job, attempt,
-                    f"timeout: exceeded {timeout:g}s wall clock",
-                    duration_s=timeout or 0.0,
-                    fault=_kill_fault(
-                        "Timeout",
-                        f"exceeded {timeout:g}s wall clock",
-                        progress,
-                    ).to_json_dict(),
-                )
+                    results[event.job.job_id] = row
     finally:
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
-        for w in workers:
-            if w.job is not None:
-                w.kill()
-            else:
-                w.close()
-    return results
-
-
-def run_triage(
-    jobs_list: Sequence[TriageJob],
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    drain_timeout: float = 5.0,
-) -> List[TriageResult]:
-    """Execute *jobs_list*, returning one result per job in submission
-    order.
-
-    ``jobs=1`` runs everything in-process (no pool, no timeout
-    enforcement -- there is no worker to kill).  ``jobs>1`` shards the
-    batch over that many worker processes; *timeout* bounds each
-    sample's wall clock, *max_retries* bounds re-dispatch after a
-    worker crash, and *retry_backoff* is the base delay before a
-    crash-retried job is re-dispatched (doubling per extra attempt).
-    Only host-transient faults (worker crashes) are retried; timeouts
-    and deterministic guest faults (DEGRADED rows) are not.
-
-    On SIGINT/SIGTERM the pool stops dispatching, gives in-flight
-    workers *drain_timeout* seconds to finish, and converts whatever
-    remains (killed in-flight jobs, never-dispatched pending jobs)
-    into ERROR rows with ``Shutdown`` fault records carrying each
-    worker's last published guest state -- the batch still comes back
-    complete and in submission order.
-    """
-    if jobs <= 1:
-        return [execute_job(job) for job in jobs_list]
-    results = _run_pool(jobs_list, jobs, timeout, max_retries, retry_backoff,
-                        drain_timeout=drain_timeout)
+        killed = pool.shutdown()
+    for event in killed:
+        results[event.job.job_id] = _error_result(
+            event.job, event.attempt,
+            f"interrupted: shutdown drain deadline ({DRAIN_TIMEOUT:g}s) "
+            "expired with the job in flight",
+            fault=event.fault.to_json_dict(),
+        )
+    for job, attempt in pending:
+        results[job.job_id] = _error_result(
+            job, attempt, "interrupted: job was never dispatched",
+            fault=FaultRecord(
+                kind="Shutdown", detail="pending at shutdown",
+            ).to_json_dict(),
+        )
     return [results[job.job_id] for job in jobs_list]
 
 

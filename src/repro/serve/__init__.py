@@ -1,14 +1,13 @@
-"""Triage as a service: warm snapshot pool, supervised workers, and a
-journaled job queue behind ``repro serve``.
+"""Triage as a service: warm snapshot pool and a journaled job queue
+behind ``repro serve``, running on the supervised worker pool of
+:mod:`repro.analysis.supervisor` (the same pool batch triage uses, so
+heartbeats, watchdogs, restart backoff and the retry rule live there).
 
 The layering, bottom-up:
 
 * :mod:`repro.serve.journal` -- the crash-safe NDJSON job journal
   (accept before execute, checkpoint on completion, exactly-once
   resume).
-* :mod:`repro.serve.supervisor` -- ``os.fork``-based workers with
-  heartbeats, per-job watchdogs, and a restarting supervisor that
-  classifies deaths through the :mod:`repro.faults` taxonomy.
 * :mod:`repro.serve.pool` -- the warm :class:`SnapshotPool` of
   pre-forked guests, degrading to cold boots under a ``DegradedPool``
   fault record.
@@ -22,7 +21,6 @@ See ``docs/triage_service.md`` for the full architecture.
 from repro.serve.journal import JobJournal, JournalState
 from repro.serve.pool import SnapshotPool, warm_attack_outcome
 from repro.serve.service import ServeClient, ServeConfig, TriageService, run_smoke
-from repro.serve.supervisor import SupervisedWorker, WorkerPool
 
 __all__ = [
     "JobJournal",
@@ -33,6 +31,4 @@ __all__ = [
     "ServeConfig",
     "TriageService",
     "run_smoke",
-    "SupervisedWorker",
-    "WorkerPool",
 ]

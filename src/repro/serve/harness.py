@@ -8,10 +8,9 @@ DEGRADED-but-detected: the final row carries both the injected fault's
 record and the verdict from the run that completed anyway.
 
 Both harnesses run nested inside ordinary triage workers (the chaos
-matrix shards over a pool), which is exactly why
-:class:`~repro.serve.supervisor.SupervisedWorker` is built on
-``os.fork``: daemonic :mod:`multiprocessing` workers may not spawn
-multiprocessing children, but they may fork.
+matrix shards over the pool), so the worker-crash harness forks its
+own :class:`~repro.analysis.supervisor.SupervisedWorker` one level
+down: pool workers are plain ``os.fork`` children, free to fork again.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ import signal
 import time
 from typing import Optional
 
+from repro.analysis.supervisor import SupervisedWorker
 from repro.analysis.triage import JobOutcome, TriageJob, TriageResult
 from repro.emulator.snapshot import MachineSnapshot
 from repro.faults.errors import FaultRecord
 from repro.serve.pool import SnapshotPool, attack_snapshot_key, warm_attack_outcome
-from repro.serve.supervisor import SupervisedWorker
 
 #: How long the harness will wait for the inner worker (seconds).  Far
 #: above any attack's real runtime; a trip means the host is broken.

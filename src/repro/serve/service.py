@@ -7,11 +7,12 @@ Architecture (one process, two concurrency domains):
   backpressure), journals accepted jobs, and streams result rows back
   to whichever connections subscribed to them.
 * The **dispatcher thread** owns the
-  :class:`~repro.serve.supervisor.WorkerPool`: it feeds queued jobs to
-  idle workers (priority lanes: high before normal before low), turns
-  supervision events into rows -- retrying retryable deaths, erroring
-  terminal ones -- and checkpoints every completion to the journal
-  *before* the row is emitted.
+  :class:`~repro.analysis.supervisor.WorkerPool`: it feeds queued jobs
+  to idle workers (priority lanes: high before normal before low),
+  turns supervision events into rows through the pool's
+  :func:`~repro.analysis.supervisor.settle_death` retry rule, and
+  checkpoints every completion to the journal *before* the row is
+  emitted.
 
 Shared scheduler state sits behind one :class:`threading.Lock`;
 cross-domain signaling is ``loop.call_soon_threadsafe``.  The write
@@ -33,15 +34,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.analysis.triage import (
-    DEFAULT_MAX_RETRIES,
-    TriageJob,
-    TriageResult,
-    _error_result,
-)
+from repro.analysis.supervisor import WorkerPool, settle_death
+from repro.analysis.triage import DEFAULT_MAX_RETRIES, TriageJob, TriageResult
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.journal import JobJournal, job_from_json_dict, job_to_json_dict
-from repro.serve.supervisor import WorkerPool
 
 PRIORITIES = ("high", "normal", "low")
 
@@ -54,8 +50,6 @@ class ServeConfig:
     journal_path: str
     workers: int = 2
     timeout: Optional[float] = None
-    heartbeat_timeout: float = 30.0
-    max_retries: int = DEFAULT_MAX_RETRIES
     #: Concurrent dispatched jobs (defaults to the worker count).
     max_inflight: Optional[int] = None
     #: Total queued jobs before submits are rejected (backpressure).
@@ -106,11 +100,7 @@ class TriageService:
             ), journal=False)  # already journaled; re-accepting would dupe
             self._ctr_resumed.inc()
 
-        self.pool = WorkerPool(
-            size=config.workers,
-            timeout=config.timeout,
-            heartbeat_timeout=config.heartbeat_timeout,
-        )
+        self.pool = WorkerPool(size=config.workers, timeout=config.timeout)
         self._stop = threading.Event()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
@@ -137,14 +127,20 @@ class TriageService:
     def submit(self, job_dict: dict, priority: str = "normal",
                tenant: str = "default") -> dict:
         """Admit one job; returns its ack/reject/dedupe record."""
+        if not isinstance(job_dict, dict):
+            return {"rec": "reject", "job_id": None,
+                    "reason": "malformed job: not a JSON object"}
         if priority not in PRIORITIES:
             return {"rec": "reject", "job_id": job_dict.get("job_id"),
                     "reason": f"unknown priority {priority!r}"}
         try:
             job = job_from_json_dict(job_dict)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             return {"rec": "reject", "job_id": job_dict.get("job_id"),
                     "reason": f"malformed job: {exc}"}
+        if type(job.job_id) is not int:
+            return {"rec": "reject", "job_id": job.job_id,
+                    "reason": "malformed job: job_id is not an integer"}
         with self._lock:
             if job.job_id in self._done:
                 # Exactly-once across resubmission: the work already
@@ -192,7 +188,7 @@ class TriageService:
             done = len(self._done)
         return {
             "rec": "health",
-            "ok": not self._stop.is_set(),
+            "ok": self._dispatcher.is_alive() and not self._stop.is_set(),
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "queued": queued,
             "inflight": inflight,
@@ -247,24 +243,18 @@ class TriageService:
             callback(payload)
 
     def _handle_death(self, event) -> None:
-        job = event.job
         with self._lock:
-            entry = self._inflight.pop(job.job_id, None)
+            entry = self._inflight.pop(event.job.job_id, None)
         if entry is None:  # pragma: no cover - stale event
             return
-        retryable = event.fault.retryable and event.kind != "timeout"
-        if retryable and entry.attempt <= self.config.max_retries:
-            entry.attempt += 1
-            with self._lock:
-                self._lanes[entry.priority].appendleft(entry)
-                self._ctr_retries.inc()
+        row = settle_death(event, DEFAULT_MAX_RETRIES)
+        if row is not None:
+            self._complete(row)
             return
-        self._complete(_error_result(
-            job, entry.attempt,
-            f"{event.fault.kind}: {event.fault.detail} "
-            f"on attempt {entry.attempt}/{self.config.max_retries + 1}",
-            fault=event.fault.to_json_dict(),
-        ))
+        entry.attempt += 1
+        with self._lock:
+            self._lanes[entry.priority].appendleft(entry)
+            self._ctr_retries.inc()
 
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
@@ -327,12 +317,21 @@ async def _handle_connection(service: TriageService, reader, writer) -> None:
             except json.JSONDecodeError:
                 out.put_nowait({"rec": "error", "reason": "bad json"})
                 continue
+            if not isinstance(request, dict):
+                out.put_nowait({"rec": "error",
+                                "reason": "bad request: not a JSON object"})
+                continue
             op = request.get("op")
             if op == "submit":
                 priority = request.get("priority", "normal")
                 tenant = request.get("tenant", "default")
+                job_dicts = request.get("jobs", [])
+                if not isinstance(job_dicts, list):
+                    out.put_nowait({"rec": "error",
+                                    "reason": "bad submit: jobs is not a list"})
+                    continue
                 accepted_ids = []
-                for job_dict in request.get("jobs", []):
+                for job_dict in job_dicts:
                     ack = service.submit(job_dict, priority=priority,
                                          tenant=tenant)
                     out.put_nowait(ack)
@@ -341,7 +340,12 @@ async def _handle_connection(service: TriageService, reader, writer) -> None:
                 for payload in service.subscribe(accepted_ids, emit):
                     out.put_nowait(payload)
             elif op == "await":
-                ids = [int(j) for j in request.get("job_ids", [])]
+                try:
+                    ids = [int(j) for j in request.get("job_ids", [])]
+                except (TypeError, ValueError):
+                    out.put_nowait({"rec": "error", "reason":
+                                    "bad await: job_ids are not integers"})
+                    continue
                 for payload in service.subscribe(ids, emit):
                     out.put_nowait(payload)
             elif op == "health":

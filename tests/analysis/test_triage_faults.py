@@ -1,8 +1,14 @@
 """Fault-injection suite: wedged, crashing, and raising samples must
 degrade to ERROR rows while the rest of the batch completes."""
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
+from repro.analysis import triage
 from repro.analysis.triage import (
     STATUS_ERROR,
     STATUS_OK,
@@ -102,3 +108,43 @@ class TestWorkerCrash:
         assert error_row.attempts == 1
         assert "attempt 1/1" in error_row.error
         _assert_rest_completed(results, "selfkill_job")
+
+
+class TestShutdownDrain:
+    def test_sigterm_drains_in_flight_jobs_and_reports_the_rest(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(triage, "DRAIN_TIMEOUT", 0.5)
+        jobs = [_pyfunc_job(i, "marked_sleep_job", name=f"sleep-{i}",
+                            marker=str(tmp_path / f"started-{i}"),
+                            seconds=30.0)
+                for i in range(6)]
+        before = signal.getsignal(signal.SIGTERM)
+
+        def sigterm_once_two_jobs_run():
+            # Only signal once both workers hold a job: by then the
+            # batch's handler is installed, so the test process survives.
+            end = time.monotonic() + 30.0
+            while len(list(tmp_path.glob("started-*"))) < 2:
+                if time.monotonic() > end:
+                    return
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        timer = threading.Thread(target=sigterm_once_two_jobs_run)
+        timer.start()
+        start = time.monotonic()
+        try:
+            results = run_triage(jobs, jobs=2)
+        finally:
+            timer.join(timeout=30.0)
+        assert time.monotonic() - start < 10.0
+        assert [r.job_id for r in results] == list(range(6))
+        for row in results[:2]:
+            assert row.status == STATUS_ERROR
+            assert row.fault["kind"] == "Shutdown"
+            assert "drain deadline" in row.error
+        for row in results[2:]:
+            assert row.status == STATUS_ERROR
+            assert row.fault["kind"] == "Shutdown"
+            assert "never dispatched" in row.error
+        assert signal.getsignal(signal.SIGTERM) == before

@@ -70,3 +70,11 @@ def crash_once_job(marker: str) -> bool:
     path.write_text("first attempt crashed")
     os.kill(os.getpid(), signal.SIGKILL)
     return False  # pragma: no cover - never reached
+
+
+def marked_sleep_job(marker: str, seconds: float) -> bool:
+    """A long sample that announces it has started by creating *marker*,
+    so a test can act while it is in flight."""
+    pathlib.Path(marker).touch()
+    time.sleep(seconds)
+    return False

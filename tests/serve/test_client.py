@@ -53,3 +53,27 @@ def test_result_row_streamed_before_acks_is_held_for_collect(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+def test_bad_lines_get_error_records_and_the_connection_keeps_reading(tmp_path):
+    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
+                         journal_path=str(tmp_path / "serve.journal"),
+                         workers=1)
+    proc = _spawn_service(config)
+    try:
+        with ServeClient.connect(config.socket_path, timeout=_DEADLINE,
+                                 retry_for=_DEADLINE) as client:
+            for line in ([1, 2], "hello", {"op": "await", "job_ids": ["x"]}):
+                client._send(line)
+                assert client._recv_reply("error", "reject")["rec"] == "error"
+            client._send({"op": "submit", "jobs": [
+                "abc", {"job_id": [1], "name": "x", "kind": "pyfunc"}]})
+            assert [client._recv_reply("error", "reject")["rec"]
+                    for _ in range(2)] == ["reject", "reject"]
+            assert client.health()["ok"]
+            client.shutdown()
+        proc.wait(timeout=_DEADLINE)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

@@ -6,10 +6,13 @@ socket + client + kill-and-restart path is covered end to end by
 ``repro serve --smoke`` (:func:`repro.serve.service.run_smoke`).
 """
 
+import os
+import signal
+import threading
 import time
 
-from repro.analysis.triage import TriageJob
-from repro.serve.journal import JobJournal
+from repro.analysis.triage import TriageJob, TriageResult, run_triage
+from repro.serve.journal import JobJournal, job_to_json_dict
 from repro.serve.service import ServeConfig, TriageService
 
 _DEADLINE = 30.0
@@ -112,10 +115,18 @@ def test_malformed_and_unknown_priority_submissions_reject(tmp_path):
                                        "kind": "pyfunc", "params": {}},
                                       priority="urgent")
         malformed = service.submit({"name": "no-id"})
+        not_an_object = service.submit("abc")
+        unhashable_id = service.submit({"job_id": [1], "name": "x",
+                                        "kind": "pyfunc", "params": {}})
+        string_id = service.submit({"job_id": "7", "name": "x",
+                                    "kind": "pyfunc", "params": {}})
     finally:
         _stop(service)
     assert bad_priority["rec"] == "reject"
     assert malformed["rec"] == "reject"
+    assert not_an_object["rec"] == "reject"
+    assert unhashable_id["rec"] == "reject"
+    assert string_id["rec"] == "reject"
 
 
 def test_resubmission_of_done_job_replays_the_stored_row(tmp_path):
@@ -257,3 +268,80 @@ def test_health_and_metrics_views(tmp_path):
     assert health["pool"]["size"] == 2
     assert metrics["rec"] == "metrics"
     assert "serve.jobs.accepted" in metrics["metrics"]["counters"]
+
+
+def test_worker_that_died_idle_is_replaced_at_dispatch(tmp_path):
+    log = str(tmp_path / "log")
+    service = TriageService(_config(tmp_path))
+    try:
+        service.start()
+        # Only busy workers are polled, so the dispatcher never touches
+        # this one until it hands it the job below.
+        worker = service.pool._slots[0].worker
+        os.kill(worker.pid, signal.SIGKILL)
+        end = time.monotonic() + _DEADLINE
+        while worker.alive():
+            assert time.monotonic() < end, "SIGKILLed worker never exited"
+            time.sleep(0.01)
+        ack = service.submit({"job_id": 4, "name": "touch-4", "kind": "pyfunc",
+                              "params": _touch_job(4, log).params})
+        assert ack["rec"] == "ack"
+        _wait_done(service, [4])
+        with service._lock:
+            row = service._done[4]
+        dispatcher_alive = service._dispatcher.is_alive()
+    finally:
+        _stop(service)
+    assert row["status"] == "OK" and row["attempts"] == 1
+    assert dispatcher_alive
+
+
+def test_health_is_not_ok_once_the_dispatcher_has_exited(tmp_path, monkeypatch):
+    service = TriageService(_config(tmp_path))
+    real_poll = service.pool.poll
+    injected = []
+
+    def poll_failing_once(wait):
+        if not injected:
+            injected.append(RuntimeError("injected poll failure"))
+            raise injected[0]
+        return real_poll(wait)
+
+    monkeypatch.setattr(service.pool, "poll", poll_failing_once)
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    try:
+        service.start()
+        service._dispatcher.join(timeout=_DEADLINE)
+        exited = not service._dispatcher.is_alive()
+        health = service.health()
+    finally:
+        _stop(service)
+    assert exited
+    assert [e.exc_value for e in thread_errors] == injected
+    assert health["ok"] is False
+
+
+def test_worker_death_row_matches_the_batch_row(tmp_path):
+    # One death, one row: a persistent crasher ends in the same ERROR
+    # row whether a batch or the service supervised it.
+    job = TriageJob(job_id=3, name="selfkill", kind="pyfunc",
+                    params={"target": "tests.analysis.triage_fault_jobs:"
+                                      "selfkill_job"})
+    [batch] = run_triage([job], jobs=2, max_retries=1)
+    service = TriageService(_config(tmp_path))
+    try:
+        service.start()
+        assert service.submit(job_to_json_dict(job))["rec"] == "ack"
+        _wait_done(service, [3])
+        with service._lock:
+            served = TriageResult.from_json_dict(service._done[3])
+    finally:
+        _stop(service)
+
+    def row_shape(row):
+        return (row.status, row.error.partition("pid")[0], row.fault["kind"],
+                row.fault["classification"], row.attempts)
+
+    assert row_shape(served) == row_shape(batch)
+    assert batch.attempts == 2

@@ -10,7 +10,7 @@ import signal
 import time
 
 from repro.analysis.triage import TriageJob
-from repro.serve.supervisor import (
+from repro.analysis.supervisor import (
     MAX_RESTART_BACKOFF,
     SupervisedWorker,
     WorkerPool,
@@ -40,6 +40,13 @@ def _drain(pool: WorkerPool, wanted: int, deadline: float = _DEADLINE):
         events.extend(pool.poll(0.05))
     assert len(events) >= wanted, f"only {len(events)}/{wanted} events"
     return events
+
+
+def _wait_dead(worker: SupervisedWorker, deadline: float = _DEADLINE) -> None:
+    end = time.monotonic() + deadline
+    while worker.alive():
+        assert time.monotonic() < end, "SIGKILLed worker never exited"
+        time.sleep(0.01)
 
 
 def test_worker_round_trips_a_result(tmp_path):
@@ -110,6 +117,21 @@ def test_pool_detects_crash_and_restarts_slot(tmp_path):
         assert events[0].kind == "result"
         assert events[0].result.status == "OK"
         assert pool.stats()["restarts"] == 1
+
+
+def test_submit_replaces_a_worker_that_died_idle(tmp_path):
+    # The dead worker held no job, so the job must run on a fresh
+    # worker at its original attempt -- no crash event, no retry.
+    log = str(tmp_path / "log")
+    with WorkerPool(size=1) as pool:
+        (worker,) = pool.idle_workers()
+        os.kill(worker.pid, signal.SIGKILL)
+        _wait_dead(worker)
+        assert pool.submit(_touch_job(1, log))
+        (event,) = _drain(pool, 1)
+    assert event.kind == "result"
+    assert event.result.status == "OK" and event.result.attempts == 1
+    assert open(log).read() == "job-1\n"
 
 
 def test_pool_enforces_wall_clock_timeout():

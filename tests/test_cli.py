@@ -62,12 +62,12 @@ class TestCommands:
 @pytest.fixture
 def no_pool(monkeypatch):
     """Make spawning a worker pool an error (asserts the serial path)."""
-    import repro.analysis.triage as triage
+    import repro.analysis.supervisor as supervisor
 
     def _boom(*args, **kwargs):
         raise AssertionError("a worker pool was spawned")
 
-    monkeypatch.setattr(triage, "_run_pool", _boom)
+    monkeypatch.setattr(supervisor, "WorkerPool", _boom)
 
 
 class TestTriageFlags:
