@@ -198,7 +198,7 @@ class CPU:
         fetch_paddrs = self._translate_range(pc, INSTRUCTION_SIZE, AccessKind.FETCH)
         raw = bytes(self.memory.read_byte(p) for p in fetch_paddrs)
         try:
-            insn = decode(raw)
+            insn = cached_decode(raw)
         except DecodeError as exc:
             raise InvalidInstruction(pc, str(exc)) from None
 

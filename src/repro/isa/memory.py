@@ -13,6 +13,7 @@ machinery honest without inflating emulation cost.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -67,12 +68,21 @@ class PhysicalMemory:
     of the memory, surviving cache drops and frame recycling (frame
     reallocation zeroes the page through :meth:`fill`, which itself
     bumps the version).
+
+    **Lazy commit.**  The buffer is a private anonymous mapping, so
+    host pages the guest never touches are never resident: a machine
+    costs the RAM its guest used, not its configured size, however long
+    the cyclic collector takes to free it.  ``MAP_PRIVATE`` keeps it
+    copy-on-write across ``os.fork``: a forked worker's guest writes
+    never reach its parent's memory (a default anonymous mapping is
+    shared).  The mapping holds no file descriptor and is unmapped when
+    the memory object is freed.
     """
 
     def __init__(self, size: int) -> None:
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"memory size must be a positive multiple of {PAGE_SIZE}")
-        self._buf = bytearray(size)
+        self._buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.size = size
         #: page number -> write-version counter, for watched pages only.
         self._code_versions: Dict[int, int] = {}

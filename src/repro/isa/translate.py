@@ -46,24 +46,31 @@ drop to the per-instruction interpreter.  :meth:`BlockTranslator.run_taint`
 instead executes the same cached blocks through *fused taint closures*
 (:func:`_compile_taint`): each closure does the instruction's
 architectural work, then the tracker's all-clean gate (bank clean, no
-pending control window, data footprint on clean shadow pages -- one
-membership probe against the live dirty-page index), and only on a gate
-miss the full Table I slow path, mirroring
+pending control window, own fetch bytes clean, data footprint on clean
+shadow pages -- one membership probe against the live dirty-page
+index), and only on a gate miss the full Table I slow path, mirroring
 :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec` bit-for-bit.
-Blocks whose own fetch *bytes* carry taint never run fused: that is
-possibly-injected code, and those instructions single-step through the
-instrumented interpreter so the per-byte fetch provenance scan and the
-detection listeners see them exactly.  The cleanliness rule is
-**byte-precise**: a block on a dirty 4 KiB shadow page still runs fused
-when its own fetch range is clean (verdict cached per block against the
-page's mutation epoch) -- attack-shaped layouts where code shares a
-shadow page with planted tainted data stay on the fast tier.  A store
-that writes taint into its own block's fetch range exits the block at
-that precise instruction (reason ``"dirty"``; in practice the SMC check
-claims it first).  When the whole shadow is clean and the thread holds
-no taint, :meth:`TranslatedBlock.execute_taint` batches the data-side
-probes per block by delegating to the plain closures outright.  See
-``docs/taint_model.md`` for the three-tier dispatch picture.
+
+Code whose fetch bytes carry taint runs fused too.  That covers every
+image FAROS loads (``Kernel.spawn`` reads each image through the file
+hook, so its code is file-tagged before its first instruction) and
+injected code.  The dispatcher probes each block's fetch range
+byte-precisely (verdict cached per block against the shadow page's
+mutation epoch) and tells the closures through
+``ctx.fetch_tainted``.  On a tainted range each closure runs the
+interpreter's step 1 -- append the process tag to each tainted fetch
+byte, union them into ``insn_prov`` -- through a per-instruction memo
+(:func:`_compile_fetch`), so steady-state loops over file-tagged code
+pay one epoch compare per instruction instead of an 8-byte scan.  On a
+clean range step 1 is a no-op and is skipped; a store that writes taint
+into its own block's fetch range exits the block at that precise
+instruction (reason ``"dirty"``; in practice the SMC check claims it
+first).  Only an instruction that straddles two guest pages -- which no
+block can hold -- steps through the instrumented interpreter.  When the
+whole shadow is clean and the thread holds no taint,
+:meth:`TranslatedBlock.execute_taint` batches the data-side probes per
+block by delegating to the plain closures outright.  See
+``docs/taint_model.md`` for the dispatch picture.
 
 Blocks bind a specific CPU's register file and a specific MMU at
 translation time; a :class:`BlockTranslator` therefore belongs to one
@@ -170,6 +177,7 @@ class TranslatedBlock:
         "term_insn",
         "taint_body",
         "taint_term",
+        "taint_ctx",
         "fetch_shadow_page",
         "fetch_len",
         "fetch_epoch",
@@ -216,6 +224,9 @@ class TranslatedBlock:
         self.term_insn = term_insn
         self.taint_body: Optional[List[Callable]] = None
         self.taint_term: Optional[Callable] = None
+        #: The block-taint context the fused closures were compiled
+        #: against (their fetch memos are per tracker).
+        self.taint_ctx = None
         #: The one shadow page holding this block's fetch footprint
         #: (a block never leaves its 256-byte MMU page, which can never
         #: straddle a 4 KiB shadow page).  Set by :meth:`ensure_taint`.
@@ -310,15 +321,16 @@ class TranslatedBlock:
 
     # -- the translated-tainted tier ---------------------------------------------
 
-    def ensure_taint(self) -> None:
-        """Compile the fused taint closures (once, on first tainted use).
+    def ensure_taint(self, ctx) -> None:
+        """Compile the fused taint closures against *ctx*.
 
         Taint compilation is deferred past plain translation: most blocks
         only ever run uninstrumented, and the taint runtime itself is a
-        lazy import (see :func:`_load_taint_runtime`).
+        lazy import (see :func:`_load_taint_runtime`).  The closures'
+        fetch memos hold one tracker's shadow epochs and interner
+        counts, so a block reached through another tracker's context is
+        compiled afresh.
         """
-        if self.taint_body is not None:
-            return
         _load_taint_runtime()
         self.fetch_shadow_page = self.start_paddr >> SHADOW_PAGE_SHIFT
         self.fetch_len = self.n_insns * INSTRUCTION_SIZE
@@ -329,12 +341,18 @@ class TranslatedBlock:
         paddr = self.start_paddr
         for insn in self.insns:
             taint_body.append(
-                _compile_taint(insn, cpu, pc, paddr, self.start_paddr, fetch_end)
+                _compile_taint(insn, cpu, pc, paddr, self.start_paddr, fetch_end, ctx)
             )
             pc = (pc + INSTRUCTION_SIZE) & MASK32
             paddr += INSTRUCTION_SIZE
-        self.taint_term = _compile_taint_term(self.term_insn)
+        # Only "fall" blocks lack a terminator, and they never run one.
+        self.taint_term = (
+            _compile_taint_term(self.term_insn, _compile_fetch(paddr, ctx))
+            if self.term_insn is not None
+            else None
+        )
         self.taint_body = taint_body
+        self.taint_ctx = ctx
 
     def execute_taint(self, budget: int, ctx) -> str:
         """Run up to *budget* instructions with fused Table I propagation.
@@ -344,29 +362,30 @@ class TranslatedBlock:
         plus two taint-specific behaviours:
 
         * ``"dirty"`` -- a store in this block wrote taint into the
-          block's own fetch *range*.  The store retired; the caller must
-          leave the translated path so the next instruction's fetch
-          provenance is scanned by the interpreter (the detection
-          window).  (In practice the ``"smc"`` check preempts this --
-          such a store also rewrote bytes of the block's watched code
-          page -- so the ``"dirty"`` exit is defence in depth.)
+          block's own fetch *range* while the block ran with a clean
+          one.  The store retired; the caller must re-probe the range
+          before running on, so the next instruction's fetch step runs.
+          (In practice the ``"smc"`` check preempts this -- such a store
+          also rewrote bytes of the block's watched code page -- so the
+          ``"dirty"`` exit is defence in depth.)
         * A :class:`~repro.faults.errors.TaintBudgetExceeded` out of a
           slow arm propagates with *post*-instruction state -- the
           interpreter raises after the instruction retired, and the
           differential suite holds the two paths to the same tick.
 
-        Caller contract: the block's fetch **range** is byte-precisely
-        clean on entry (probed by :meth:`BlockTranslator.run_taint`
-        through the per-page epoch cache), which is what lets every
-        fused closure treat the fetched bytes as provenance-free --
-        even when the surrounding 4 KiB shadow page carries taint.
+        Caller contract: :meth:`ensure_taint` ran for *ctx*, and
+        ``ctx.fetch_tainted`` says whether the block's fetch **range**
+        carries taint (probed byte-precisely by
+        :meth:`BlockTranslator.run_taint` through the per-page epoch
+        cache).  On a clean range every fused closure treats the fetched
+        bytes as provenance-free -- even when the surrounding 4 KiB
+        shadow page carries taint; on a tainted one each closure runs
+        its memoised fetch step.
 
         Stats contract: every retirement here is accounted on the
         tracker's counters with the same fast/slow split the interpreter
         would produce, flushed in bulk on every exit path.
         """
-        if self.taint_body is None:
-            self.ensure_taint()
         cpu = self.cpu
         n = self.n_body
         stats = ctx.stats
@@ -400,6 +419,7 @@ class TranslatedBlock:
             if (
                 self.pure
                 and budget >= n
+                and not ctx.fetch_tainted
                 and bank.tainted == 0
                 and not bank.flags
                 and ctx.tid not in ctx.pending
@@ -874,17 +894,96 @@ def _compile_term(insn: Instruction, cpu: CPU, fall_pc: int) -> Callable[[], int
 #
 # Every fused closure must reproduce TaintTracker.on_insn_exec *exactly*
 # for its instruction shape -- same shadow/bank mutations, same interner
-# call sequence, same stats splits, same listener observations
-# (tests/taint/test_differential.py compares all four bit-for-bit).  The
-# closures exploit one invariant the interpreter cannot: the dispatcher
-# only runs a block whose fetch *range* is byte-precisely clean, so the
-# per-insn fetch scan (interpreter step 1) is provably a no-op -- zero
-# provenance collected, zero interner calls -- and ``insn_prov`` is
-# always EMPTY.  (The surrounding 4 KiB shadow page may be dirty; only
-# the block's own bytes matter, and a store breaking the invariant exits
-# via the smc/dirty protocol before the next closure runs.)
+# call sequence, same stats splits, same listener observations at the
+# same machine tick (tests/taint/test_differential.py compares them all
+# bit-for-bit).  The dispatcher sets ``ctx.fetch_tainted`` per block.
+# While the block's fetch *range* is byte-precisely clean, the per-insn
+# fetch scan (interpreter step 1) is provably a no-op -- zero provenance
+# collected, zero interner calls -- and ``insn_prov`` is EMPTY; a store
+# breaking that invariant exits via the smc/dirty protocol before the
+# next closure runs.  On a tainted range each closure calls its
+# memoised fetch step (:func:`_compile_fetch`) before the all-clean
+# gate, because tainted fetch bytes fail the gate outright.
 # Closures do their architectural work *first*, so a guest fault leaves
 # both machine and taint state exactly pre-instruction.
+
+
+def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
+    """Interpreter step 1 for the instruction at *insn_paddr*, memoised.
+
+    The closure returns ``None`` when the instruction's own fetch bytes
+    are clean: step 1 collects nothing and the all-clean gate may still
+    pass.  Otherwise it enters the slow path in interpreter order --
+    count the slow retirement, mint the process tag, append the tag to
+    each tainted fetch byte and union the bytes into ``insn_prov`` --
+    and returns ``insn_prov``.
+
+    The memo is keyed by the fetch shadow page's epoch plus the process
+    tag, compared by value (``TagStore.process_tag`` returns a fresh
+    ``Tag`` per call).  It is recorded only after a scan that changed
+    no shadow byte, and such a scan repeats identically while the epoch
+    holds.  The interner never evicts, so every memoised lookup in the
+    repeated scan would hit: a memo hit returns the cached ``insn_prov``
+    and adds the recorded lookup count to ``interner.hits``.  Shadow
+    state, interner counters, stats and the process-tag mint order stay
+    bit-identical to :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
+    """
+    page = insn_paddr >> SHADOW_PAGE_SHIFT
+    paddrs = range(insn_paddr, insn_paddr + INSTRUCTION_SIZE)
+    epochs = ctx.page_epochs
+    shadow = ctx.shadow
+    range_clean = shadow.range_clean
+    get_byte = shadow.get
+    set_byte = shadow.set
+    stats = ctx.stats
+    interner = ctx.interner
+    append = ctx.append
+    union = ctx.union
+    get_proc_tag = ctx.get_proc_tag
+    EMPTY = _EMPTY_PROV
+    memo_epoch = -1
+    memo_tag = None
+    memo_prov = None  # None: the bytes were clean at memo_epoch
+    memo_lookups = 0
+
+    def fetch():
+        nonlocal memo_epoch, memo_tag, memo_prov, memo_lookups
+        epoch = epochs.get(page, 0)
+        if epoch == memo_epoch:
+            if memo_prov is None:
+                return None
+            stats.slow_retirements += 1
+            tag = get_proc_tag()
+            if tag is memo_tag or tag == memo_tag:
+                memo_tag = tag  # later compares in this slice are identity
+                interner.hits += memo_lookups
+                return memo_prov
+        elif range_clean(insn_paddr, INSTRUCTION_SIZE):
+            memo_epoch, memo_prov = epoch, None
+            return None
+        else:
+            stats.slow_retirements += 1
+            tag = get_proc_tag()
+        lookups = interner.hits + interner.misses
+        insn_prov = EMPTY
+        for paddr in paddrs:
+            prov = get_byte(paddr)
+            if prov:
+                if tag is not None:
+                    new = append(prov, tag)
+                    if new is not prov:
+                        set_byte(paddr, new)
+                        stats.process_tag_appends += 1
+                        prov = new
+                insn_prov = union(insn_prov, prov)
+        if epochs.get(page, 0) == epoch:
+            memo_epoch, memo_tag, memo_prov = epoch, tag, insn_prov
+            memo_lookups = interner.hits + interner.misses - lookups
+        else:
+            memo_epoch = -1  # the scan appended tags: the next one differs
+        return insn_prov
+
+    return fetch
 
 
 def _taint_epilogue(ctx) -> None:
@@ -963,20 +1062,21 @@ def _compile_taint(
     cpu: CPU,
     insn_pc: int,
     insn_paddr: int,
-    fetch_start: int = -1,
-    fetch_end: int = -1,
+    fetch_start: int,
+    fetch_end: int,
+    ctx,
 ) -> Callable:
     """Compile one non-terminating instruction into a fused taint closure.
 
     The closure takes the slice's
-    :class:`~repro.taint.tracker.BlockTaintContext` and returns the
-    store protocol code: falsy to continue, ``1`` for a retired store
-    (executor re-checks the code version), ``2`` for a retired store
-    that wrote taint into the block's own fetch range
-    ``[fetch_start, fetch_end)`` (executor exits with reason
-    ``"dirty"``).  Taint landing elsewhere on the fetch *shadow page* no
-    longer exits: the block's own bytes are still clean, so fused
-    execution may continue.
+    :class:`~repro.taint.tracker.BlockTaintContext` (*ctx*, whose
+    tracker the fetch memo belongs to) and returns the store protocol
+    code: falsy to continue, ``1`` for a retired store (executor
+    re-checks the code version), ``2`` for a retired store that wrote
+    taint into the block's own fetch range ``[fetch_start, fetch_end)``
+    (executor exits with reason ``"dirty"``).  Taint landing elsewhere
+    on the fetch *shadow page* does not exit: the block's own bytes are
+    still clean, so fused execution may continue.
     """
     op = insn.op
     v = cpu.regs._values
@@ -984,6 +1084,7 @@ def _compile_taint(
     rs1 = int(insn.rs1)
     shift = SHADOW_PAGE_SHIFT
     EMPTY = _EMPTY_PROV
+    fetch = _compile_fetch(insn_paddr, ctx)
 
     if op in (Op.LD, Op.LDB, Op.POP):
         disp = signed32(insn.imm)
@@ -999,6 +1100,10 @@ def _compile_taint(
         regs_read = (Reg.SP,) if pop else (insn.rs1,)
         fetch_paddrs = tuple(range(insn_paddr, insn_paddr + INSTRUCTION_SIZE))
         next_pc = (insn_pc + INSTRUCTION_SIZE) & MASK32
+        # Listeners read ``machine.now``; the executor advances
+        # ``cpu.instret`` only at block exit, so lend them this
+        # instruction's retirement tick.
+        retire_ticks = (insn_paddr - fetch_start) // INSTRUCTION_SIZE + 1
         LoadObservation = _LoadObservation
 
         @_mem
@@ -1019,20 +1124,24 @@ def _compile_taint(
             v[rd] = value
             if pop:
                 v[_SP] = (vaddr + 4) & MASK32
-            # The all-clean gate (fetch bytes are clean by block invariant).
-            bank = ctx.bank
-            if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
-                dirty = ctx.dirty_pages
-                if not dirty:
-                    return
-                p0 = paddrs[0] >> shift
-                if p0 not in dirty:
-                    p1 = paddrs[-1] >> shift
-                    if p1 == p0 or p1 not in dirty:
-                        return
-            # Slow path: interpreter steps 0-4 for a load shape.
+            # Tainted fetch bytes fail the all-clean gate: fetch() has
+            # then already entered the slow path and run step 1.
+            insn_prov = fetch() if ctx.fetch_tainted else None
             stats = ctx.stats
-            stats.slow_retirements += 1
+            bank = ctx.bank
+            if insn_prov is None:
+                if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
+                    dirty = ctx.dirty_pages
+                    if not dirty:
+                        return
+                    p0 = paddrs[0] >> shift
+                    if p0 not in dirty:
+                        p1 = paddrs[-1] >> shift
+                        if p1 == p0 or p1 not in dirty:
+                            return
+                stats.slow_retirements += 1
+                insn_prov = EMPTY
+            # Slow path: interpreter steps 2-4 for a load shape.
             proc_tag = ctx.get_proc_tag()
             shadow = ctx.shadow
             prov = shadow.get_bytes(paddrs)
@@ -1061,11 +1170,15 @@ def _compile_taint(
                         reg_written=rd_reg,
                         regs_read=regs_read,
                     ),
-                    insn_prov=EMPTY,
+                    insn_prov=insn_prov,
                     reads=[(access, prov)],
                 )
-                for listener in ctx.listeners:
-                    listener(ctx.machine, observation)
+                cpu.instret += retire_ticks
+                try:
+                    for listener in ctx.listeners:
+                        listener(ctx.machine, observation)
+                finally:
+                    cpu.instret -= retire_ticks
             if ctx.track_address_deps and not pop:
                 prov = ctx.union(prov, bank.regs[rs1])
             _set_with_control(ctx, bank, rd, prov)
@@ -1103,17 +1216,17 @@ def _compile_taint(
             if push:
                 v[_SP] = vaddr
             bank = ctx.bank
-            if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
-                dirty = ctx.dirty_pages
-                if not dirty:
-                    return 1
-                p0 = paddrs[0] >> shift
-                if p0 not in dirty:
-                    p1 = paddrs[-1] >> shift
-                    if p1 == p0 or p1 not in dirty:
+            if not ctx.fetch_tainted or fetch() is None:
+                if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
+                    dirty = ctx.dirty_pages
+                    if not dirty:
                         return 1
-            stats = ctx.stats
-            stats.slow_retirements += 1
+                    p0 = paddrs[0] >> shift
+                    if p0 not in dirty:
+                        p1 = paddrs[-1] >> shift
+                        if p1 == p0 or p1 not in dirty:
+                            return 1
+                ctx.stats.slow_retirements += 1
             proc_tag = ctx.get_proc_tag()
             prov = bank.regs[src]
             if ctx.track_address_deps and not push:
@@ -1145,38 +1258,38 @@ def _compile_taint(
     def fused(ctx) -> None:
         arch()
         bank = ctx.bank
-        if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
-            return
-        ctx.stats.slow_retirements += 1
-        ctx.get_proc_tag()
+        if not ctx.fetch_tainted or fetch() is None:
+            if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
+                return
+            ctx.stats.slow_retirements += 1
+            ctx.get_proc_tag()
         if propagate is not None:
             propagate(ctx, bank)
         _taint_epilogue(ctx)
     return fused
 
 
-def _compile_taint_term(insn: Optional[Instruction]) -> Callable:
+def _compile_taint_term(insn: Instruction, fetch: Callable) -> Callable:
     """The fused taint closure for a block terminator.
 
-    Terminators never touch data memory, so their slow path is bank
-    bookkeeping only: the CALL link-register rule, the control-window
+    Terminators never touch data memory, so their slow path is the
+    fetch step (*fetch*, from :func:`_compile_fetch`) plus bank
+    bookkeeping: the CALL link-register rule, the control-window
     decrement, and -- for flags-reading branches under the
-    control-dependency policy -- arming a fresh window.  *insn* is None
-    for ``"fall"`` blocks (never invoked) and for blocks whose
-    terminator the plain tier synthesised (syscall/halt are real
-    instructions and always present).
+    control-dependency policy -- arming a fresh window.
     """
-    op = insn.op if insn is not None else None
-    flags_read = op in COND_BRANCH_OPS if op is not None else False
+    op = insn.op
+    flags_read = op in COND_BRANCH_OPS
     link = op in (Op.CALL, Op.CALLR)
     EMPTY = _EMPTY_PROV
 
     def term_taint(ctx) -> None:
         bank = ctx.bank
-        if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
-            return
-        ctx.stats.slow_retirements += 1
-        ctx.get_proc_tag()
+        if not ctx.fetch_tainted or fetch() is None:
+            if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
+                return
+            ctx.stats.slow_retirements += 1
+            ctx.get_proc_tag()
         if link:
             bank.set(_LR, EMPTY)
         pending = ctx.pending.get(ctx.tid)
@@ -1377,20 +1490,20 @@ class BlockTranslator:
         Table I propagation against *ctx* (a
         :class:`~repro.taint.tracker.BlockTaintContext`).
 
-        The dispatch rule is the **byte-precise fetch-clean invariant**:
-        a cached block only executes while its own fetch range carries
-        no taint, probed here before every block (entry and chain
-        alike).  The probe is two-level: a clean fetch *shadow page*
-        (one dict miss) passes outright; a dirty page falls to
-        :meth:`_fetch_clean`, which consults the per-block epoch-cached
-        byte-precise verdict -- so attack-shaped layouts where code
-        shares a 4 KiB shadow page with planted tainted data (export
-        tables, staged payloads) keep running fused.  A block whose own
-        *bytes* carry taint is exactly the possibly-injected code FAROS
-        exists to observe, so those instructions single-step through the
-        instrumented interpreter (``cpu.step`` + ``on_insn_exec``),
-        whose per-byte fetch scan collects the injected bytes'
-        provenance.
+        Every block runs fused.  Before each block (entry and chain
+        alike) the dispatcher probes whether its fetch **range** carries
+        taint and tells the closures through ``ctx.fetch_tainted``.  The
+        probe is two-level: a clean fetch *shadow page* (one dict miss)
+        passes outright; a dirty page falls to :meth:`_fetch_clean`,
+        which consults the per-block epoch-cached byte-precise verdict
+        -- so attack-shaped layouts where code shares a 4 KiB shadow
+        page with planted tainted data (export tables, staged payloads)
+        skip the fetch step.  A tainted range -- a file-tagged image,
+        or the possibly-injected code FAROS exists to observe -- runs
+        each closure's memoised fetch step, which collects the bytes'
+        provenance for the detection listeners exactly as the
+        interpreter's per-byte scan does.  Only an instruction that
+        straddles two guest pages goes through :meth:`_taint_step`.
         """
         _load_taint_runtime()
         self.taint_lookups += 1
@@ -1398,9 +1511,7 @@ class BlockTranslator:
         if block is None:
             # Cross-page instruction: the interpreter handles the split
             # fetch (and the tracker its effects).
-            return self._taint_steps(cpu, ctx, budget)
-        if block.taint_body is None:
-            block.ensure_taint()
+            return self._taint_step(cpu, ctx)
         memory = self._memory
         mmu_translate = cpu.mmu.translate
         code_version = memory.code_version
@@ -1408,26 +1519,32 @@ class BlockTranslator:
         shadow = ctx.shadow
         spent = 0
         while True:
-            if block.fetch_shadow_page in dirty and not self._fetch_clean(block, shadow):
-                return self._taint_steps(cpu, ctx, budget - spent)
+            if block.taint_ctx is not ctx:
+                block.ensure_taint(ctx)
+            fetch_tainted = block.fetch_shadow_page in dirty and not self._fetch_clean(
+                block, shadow
+            )
+            ctx.fetch_tainted = fetch_tainted
             before = cpu.instret
             bank = ctx.bank
             if (
                 dirty
+                and not fetch_tainted
                 and bank.tainted == 0
                 and not bank.flags
                 and ctx.tid not in ctx.pending
                 and self._data_clean(block, ctx)
             ):
-                # Whole-block delegation on a *dirty* shadow: the bank is
-                # clean, no control window is pending, and the block's
-                # predicted data footprint misses every dirty shadow
-                # page, so every per-closure gate would pass and no
-                # propagation could arise mid-block (plain stores cannot
-                # create taint).  Run the plain closures -- same
-                # SMC/fault/budget exactness -- and account the whole
-                # block as fast retirements, exactly like the
-                # wholly-clean batch in :meth:`TranslatedBlock.execute_taint`.
+                # Whole-block delegation on a *dirty* shadow: the fetch
+                # range and the bank are clean, no control window is
+                # pending, and the block's predicted data footprint
+                # misses every dirty shadow page, so every per-closure
+                # gate would pass and no propagation could arise
+                # mid-block (plain stores cannot create taint).  Run the
+                # plain closures -- same SMC/fault/budget exactness --
+                # and account the whole block as fast retirements,
+                # exactly like the wholly-clean batch in
+                # :meth:`TranslatedBlock.execute_taint`.
                 self.taint_footprint_delegations += 1
                 stats = ctx.stats
                 try:
@@ -1467,8 +1584,6 @@ class BlockTranslator:
                 nxt = self.lookup(cpu)
                 if nxt is None:
                     return "fall"
-            if nxt.taint_body is None:
-                nxt.ensure_taint()
             block = nxt
 
     def _fetch_clean(self, block: TranslatedBlock, shadow) -> bool:
@@ -1536,50 +1651,23 @@ class BlockTranslator:
                 return False
         return True
 
-    def _taint_steps(self, cpu: CPU, ctx, budget: int) -> str:
-        """Interpreter window: full-effect steps fed to the tracker.
+    def _taint_step(self, cpu: CPU, ctx) -> str:
+        """Retire the one instruction at ``cpu.pc`` that straddles two
+        guest pages, through the instrumented interpreter (``cpu.step``
+        + ``on_insn_exec``).
 
-        The escape hatch for what the taint tier must not fuse: a pc
-        whose instruction straddles pages, or code whose own fetch bytes
-        carry taint (the detection window -- ``on_insn_exec`` runs the
-        exact per-byte fetch provenance scan and the load listeners).
-        Steps until the budget is spent or the thread traps/halts;
-        whenever control transfers or crosses into a new guest page, the
-        new pc's fetch bytes are re-probed (page membership first, then
-        a byte-precise range check on dirty pages), and clean ones hand
-        control back so the dispatcher can resume fused blocks.
+        No block can hold such an instruction, so this is the only
+        retirement the taint tier does not fuse; the tracker runs its
+        exact per-byte fetch scan and the load listeners on it.
         """
-        tracker_exec = ctx.tracker.on_insn_exec
-        machine = ctx.machine
-        thread = ctx.thread
-        dirty = ctx.dirty_pages
-        range_clean = ctx.shadow.range_clean
-        translate = cpu.mmu.translate
-        step = cpu.step
-        shift = SHADOW_PAGE_SHIFT
-        FETCH = AccessKind.FETCH
-        n = 0
-        while True:
-            fx = step()
-            n += 1
-            self.taint_single_steps += 1
-            tracker_exec(machine, thread, fx)
-            if fx.syscall:
-                return "syscall"
-            if fx.halted:
-                return "halt"
-            if n >= budget:
-                return "fall"
-            next_pc = fx.next_pc
-            if next_pc != ((fx.pc + INSTRUCTION_SIZE) & MASK32) or (
-                (next_pc ^ fx.pc) & ~_PAGE_MASK
-            ):
-                try:
-                    paddr = translate(next_pc, FETCH)
-                except GuestFault:
-                    continue  # the next step() raises it precisely
-                if (paddr >> shift) not in dirty or range_clean(paddr, INSTRUCTION_SIZE):
-                    return "fall"
+        fx = cpu.step()
+        self.taint_single_steps += 1
+        ctx.tracker.on_insn_exec(ctx.machine, ctx.thread, fx)
+        if fx.syscall:
+            return "syscall"
+        if fx.halted:
+            return "halt"
+        return "fall"
 
     # -- introspection -----------------------------------------------------------
 

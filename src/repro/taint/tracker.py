@@ -544,7 +544,12 @@ class BlockTaintContext:
     same listener observations (``tests/taint/test_differential.py``
     enforces all four).  The context therefore exposes the tracker's own
     bound state (the live pending-control dict, the interner's union and
-    append, the shadow page table for gate probes) rather than copies.
+    append, the shadow page table for gate probes, the page-epoch table
+    the fetch memos key on) rather than copies.
+
+    ``fetch_tainted`` is per *block*, not per slice: the dispatcher sets
+    it before each block from the byte-precise fetch-range probe, and
+    the closures run their memoised fetch step only when it is true.
 
     ``get_proc_tag`` is **lazy** on purpose: the interpreter mints the
     executing process' tag at the first slow-path instruction, and tag
@@ -561,6 +566,8 @@ class BlockTaintContext:
         "bank",
         "shadow",
         "dirty_pages",
+        "page_epochs",
+        "fetch_tainted",
         "pending",
         "stats",
         "interner",
@@ -583,6 +590,12 @@ class BlockTaintContext:
         #: per-access/per-block cleanliness probe (decision-identical to
         #: :meth:`~repro.taint.shadow.ShadowMemory.pages_clean`).
         self.dirty_pages = tracker.shadow._pages
+        #: The live page-epoch table (``number -> epoch``, absent = 0;
+        #: decision-identical to
+        #: :meth:`~repro.taint.shadow.ShadowMemory.page_epoch`).
+        self.page_epochs = tracker.shadow._epochs
+        #: Whether the block about to run has taint in its fetch range.
+        self.fetch_tainted = False
         self.pending = tracker._pending_control
         self.stats = tracker.stats
         self.interner = tracker.interner

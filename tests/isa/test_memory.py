@@ -1,5 +1,8 @@
 """Unit tests for physical memory and the frame allocator."""
 
+import os
+import select
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +77,31 @@ class TestPhysicalMemory:
         mem = PhysicalMemory(PAGE_SIZE)
         mem.write_bytes(paddr, data)
         assert mem.read_bytes(paddr, len(data)) == data
+
+    def test_forked_child_writes_stay_in_the_child(self):
+        """Guest RAM is copy-on-write across fork: a pool worker's guest
+        writes must never reach its parent's machine."""
+        mem = PhysicalMemory(4 * PAGE_SIZE)
+        mem.write_bytes(PAGE_SIZE, b"parent")
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                mem.write_bytes(PAGE_SIZE, b"child!")
+                mem.write_byte(3 * PAGE_SIZE, 0x5A)
+                os.write(write_fd, mem.read_bytes(PAGE_SIZE, 6))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        try:
+            ready, _, _ = select.select([read_fd], [], [], 30)
+            seen = os.read(read_fd, 6) if ready else b""
+        finally:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        assert seen == b"child!"
+        assert mem.read_bytes(PAGE_SIZE, 6) == b"parent"
+        assert mem.read_byte(3 * PAGE_SIZE) == 0
 
 
 class TestFrameAllocator:

@@ -242,6 +242,20 @@ class TestSharedDecodeCache:
             cpu.step_fast()
         assert decode_cache_info().hits >= hits_before + 2
 
+    def test_interpreter_step_decodes_through_the_lru(self):
+        # The instrumented interpreter (the "full" tier and the taint
+        # tier's page-straddling steps) shares the LRU too.
+        raw = encode(make(Op.MOVI, Reg.R5, imm=0x57E95EED))
+        cached_decode(raw)
+        hits_before = decode_cache_info().hits
+        for _ in range(2):
+            mem = PhysicalMemory(MEM_SIZE)
+            mem.write_bytes(0, raw + encode(make(Op.HLT)))
+            cpu = CPU(mem)
+            cpu.step()
+            assert cpu.regs.read(Reg.R5) == 0x57E95EED
+        assert decode_cache_info().hits >= hits_before + 2
+
     def test_decode_failures_are_not_cached(self):
         bad = bytes([0xEE] + [0] * 7)
         mem = PhysicalMemory(MEM_SIZE)

@@ -13,7 +13,8 @@ taint tier's local contracts on whole machines carrying a lone
   next to code -- the attack-shaped layout -- no longer evicts it),
   and only a store that taints the fetch range itself exits the block
   precisely (via the code-version bump, since tainting fetched bytes
-  means writing them);
+  means writing them); code whose own bytes carry taint runs fused
+  too, through the memoised fetch step;
 * every fused operand shape (moves, ALU, compares, loads/stores, stack
   traffic, calls) leaves bit-identical tracker state vs the
   instrumented interpreter;
@@ -175,8 +176,8 @@ class TestArmedButCleanStaysTranslated:
 #: bump, so not SMC) but inside the code's 4 KiB shadow page.  Under the
 #: byte-precise cleanliness rule this is the PR 6 headroom case: the
 #: shadow page goes dirty, yet the block's *fetch bytes* stay clean, so
-#: every later loop iteration re-probes the range and keeps running
-#: fused instead of falling to the interpreter window.
+#: every later loop iteration re-probes the range and keeps skipping
+#: the fetch step.
 DIRTY_OWN_PAGE = """
 start:
     movi r5, 8
@@ -223,7 +224,7 @@ EXPORT_TAG = Tag(TagType.EXPORT_TABLE, 3)
 #: byte of ``movi r5, 1`` with a tainted value.  Writing fetched bytes
 #: necessarily bumps the watched code-page version, so the SMC exit
 #: claims the block precisely at the store, and the retranslated tail
-#: -- now injected, tainted code -- runs in the detection window.
+#: -- now injected, tainted code -- runs fused with its fetch step.
 PATCH_FETCH = """
 start:
     movi r6, src
@@ -260,11 +261,12 @@ class TestByteGranularCleanliness:
         # The plant itself is untouched provenance, not collateral.
         assert tracker.shadow.tainted_bytes >= 16 + 4
 
-    def test_tainted_fetch_bytes_run_in_the_window(self):
+    def test_tainted_fetch_bytes_run_fused(self):
         # Precision cuts the other way too: taint the first instruction
-        # itself and that instruction (alone) goes through the window.
+        # itself and that instruction's block runs its fetch step --
+        # fused, with no interpreter step.
         (machine, _, _), _ = run_pair(TAINTED_LOOP, seeds=[("start", 4)])
-        assert taint_stats(machine)["taint_single_steps"] > 0
+        assert taint_stats(machine)["taint_single_steps"] == 0
 
     def test_store_into_fetch_range_exits_precisely(self):
         from repro.isa.registers import Reg
@@ -277,8 +279,8 @@ class TestByteGranularCleanliness:
         # bump (SMC) claims the exit; the dirty-exit counter stays idle.
         assert ts["taint_dirty_exits"] == 0
         assert machine.translator.invalidations >= 1
-        # The patched, now-tainted instruction ran in the window...
-        assert ts["taint_single_steps"] > 0
+        # The patched, now-tainted instruction ran fused...
+        assert ts["taint_single_steps"] == 0
         # ...and executed the NEW bytes on both tiers.
         assert machine.cpu.regs.read(Reg.R5) == 9
         assert machine_off.cpu.regs.read(Reg.R5) == 9

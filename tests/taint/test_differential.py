@@ -191,12 +191,17 @@ def attach_pair(machine, policy):
 
 
 def tainted_observations(log):
-    """Comparable projection of the observations that carry any taint."""
+    """Comparable projection of the observations that carry any taint.
+
+    *log* holds ``(tick, observation)`` pairs, the tick being
+    ``machine.now`` as the listener saw it (the detector stamps flags
+    with it, so every tier must show the retirement tick).
+    """
     out = []
-    for obs in log:
+    for tick, obs in log:
         reads = tuple(prov for _, prov in obs.reads)
         if obs.insn_prov or any(reads):
-            out.append((obs.fx.pc, obs.insn_prov, reads))
+            out.append((tick, obs.fx.pc, obs.insn_prov, reads))
     return out
 
 
@@ -214,16 +219,20 @@ def assert_equivalent(fast, ref, fast_obs=None, ref_obs=None):
 
 
 @st.composite
-def guest_programs(draw):
+def guest_programs(draw, passes=1):
     """A random terminating guest program over tainted inputs.
 
     Straight-line ALU/move/load/store/stack traffic over r1..r5, with
     occasional forward-only tainted branches (to drive the flags shadow
     and the control-dependency window), reading from two seeded input
-    words and a scratch buffer.
+    words and a scratch buffer.  With ``passes > 1`` the whole body
+    repeats that many times (counted in r7, which no random op
+    touches), so fetch memos recorded on one pass are hit on the next.
     """
-    lines = [
-        "start:",
+    lines = ["start:"]
+    if passes > 1:
+        lines += [f"    movi r7, {passes}", "again:"]
+    lines += [
         "    movi r6, in_a",
         "    ld r1, [r6]",
         "    movi r6, in_b",
@@ -276,13 +285,15 @@ def guest_programs(draw):
     lines.append("    movi r6, out")
     for i in range(5):
         lines.append(f"    st [r6+{4 * i}], r{i + 1}")
+    if passes > 1:
+        lines += ["    subi r7, r7, 1", "    cmpi r7, 0", "    jnz again"]
     lines.append("    jmp park")
     if draw(st.booleans()):
         # Data on its own 4 KiB shadow page: seeded taint leaves the
         # code's fetch pages clean, so the translated leg of the matrix
         # runs the fused per-block taint closures.  Unpadded programs
-        # keep the data on the code's shadow page and cover the
-        # dirty-fetch interpreter window instead.
+        # keep the data on the code's shadow page and cover fused
+        # blocks whose fetch shadow page is dirty instead.
         lines.append("pad_data: .space 8192")
     lines.append("in_a: .word 0x1234")
     lines.append("in_b: .word 0xbeef")
@@ -298,29 +309,43 @@ policies = st.builds(
     process_tags_on_access=st.booleans(),
 )
 
-seed_choices = st.sampled_from(["a", "b", "ab", "buf", "none"])
+#: ``"code"`` file-tags the program's whole image, as FAROS does at
+#: spawn, so every instruction fetches tainted bytes.
+seed_choices = st.sampled_from(["a", "b", "ab", "buf", "code", "none"])
+
+SEED_IMAGE = Tag(TagType.FILE, 1)
+
+
+def seed_program(trackers, proc, prog, seeds, extra_seeds=()):
+    """Apply one ``seed_choices`` draw, plus ``(label, n, tag)`` extras,
+    to every tracker in *trackers*."""
+
+    def seed(vaddr, n, tag):
+        paddrs = proc.aspace.translate_range(vaddr, n, AccessKind.READ)
+        for tracker in trackers:
+            tracker.taint_range(paddrs, tag)
+
+    if seeds == "code":
+        seed(prog.base, len(prog.code), SEED_IMAGE)
+    if "a" in seeds:
+        seed(prog.label("in_a"), 4, SEED_A)
+    if "b" in seeds:
+        seed(prog.label("in_b"), 4, SEED_B)
+    if seeds == "buf":
+        seed(prog.label("buf"), 8, SEED_A)
+    for label, n, tag in extra_seeds:
+        seed(prog.label(label), n, tag)
 
 
 def run_program_differential(body, policy, seeds):
     machine = Machine(MachineConfig())
     fast, ref = attach_pair(machine, policy)
     fast_obs, ref_obs = [], []
-    fast.add_load_listener(lambda m, obs: fast_obs.append(obs))
-    ref.add_load_listener(lambda m, obs: ref_obs.append(obs))
+    fast.add_load_listener(lambda m, obs: fast_obs.append((m.now, obs)))
+    ref.add_load_listener(lambda m, obs: ref_obs.append((m.now, obs)))
     prog = register_asm(machine, "d.exe", body, PARK)
     proc = machine.kernel.spawn("d.exe")
-
-    def seed(label, n, tag):
-        paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        fast.taint_range(paddrs, tag)
-        ref.taint_range(paddrs, tag)
-
-    if "a" in seeds:
-        seed("in_a", 4, SEED_A)
-    if "b" in seeds:
-        seed("in_b", 4, SEED_B)
-    if seeds == "buf":
-        seed("buf", 8, SEED_A)
+    seed_program((fast, ref), proc, prog, seeds)
     machine.run(300_000)
     assert_equivalent(fast, ref, fast_obs, ref_obs)
 
@@ -534,22 +559,10 @@ def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
     machine = Machine(MachineConfig(translate=translate))
     machine.plugins.register(tracker)
     obs_log = []
-    tracker.add_load_listener(lambda m, obs: obs_log.append(obs))
+    tracker.add_load_listener(lambda m, obs: obs_log.append((m.now, obs)))
     prog = register_asm(machine, "m.exe", body, PARK)
     proc = machine.kernel.spawn("m.exe")
-
-    def seed(label, n, tag):
-        paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        tracker.taint_range(paddrs, tag)
-
-    if "a" in seeds:
-        seed("in_a", 4, SEED_A)
-    if "b" in seeds:
-        seed("in_b", 4, SEED_B)
-    if seeds == "buf":
-        seed("buf", 8, SEED_A)
-    for label, n, tag in extra_seeds:
-        seed(label, n, tag)
+    seed_program((tracker,), proc, prog, seeds, extra_seeds)
     machine.run(300_000)
     return machine, obs_log
 
@@ -600,6 +613,27 @@ class TestTranslateMatrixDifferential:
     @settings(max_examples=400, deadline=None)
     def test_exhaustive(self, body, policy, seeds):
         run_translate_matrix(body, policy, seeds)
+
+
+class TestFileTaggedLoopMatrix:
+    """File-tagged programs run three times over.  Under the
+    process-tag policy the first pass appends the tag to the fetched
+    bytes, the second scans without changing them (recording each
+    fetch memo), and the third hits the memos -- unless a store on the
+    code's shadow page moved its epoch, which unpadded programs do.
+    Every pass must stay bit-identical to the interpreter, interner
+    counters included."""
+
+    @given(body=guest_programs(passes=3), policy=policies)
+    @settings(max_examples=25, deadline=None)
+    def test_quick(self, body, policy):
+        run_translate_matrix(body, policy, "code")
+
+    @pytest.mark.slow
+    @given(body=guest_programs(passes=3), policy=policies)
+    @settings(max_examples=150, deadline=None)
+    def test_exhaustive(self, body, policy):
+        run_translate_matrix(body, policy, "code")
 
 
 # ======================================================================
