@@ -210,6 +210,12 @@ class Machine:
                 "translate.taint_footprint_delegations",
                 lambda: translator.taint_footprint_delegations,
             )
+            # Pure blocks over tainted fetch bytes replaying a recorded
+            # counter delta.
+            m.gauge(
+                "translate.taint_block_replays",
+                lambda: translator.taint_block_replays,
+            )
 
     # ------------------------------------------------------------------
     # time & events

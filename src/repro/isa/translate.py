@@ -5,7 +5,9 @@ one Python call, one decode-cache probe, one fetch translation, and one
 if/elif dispatch *per retired instruction*.  This module translates each
 straight-line run of guest code -- ending at the first branch, syscall,
 ``HLT``, undecodable word, or page boundary -- **once**, into a
-:class:`TranslatedBlock` of per-instruction specialized closures:
+:class:`TranslatedBlock` of per-instruction specialized closures.  An
+instruction whose 8 bytes straddle two guest pages gets a block of its
+own, fetched from both pages (QEMU's cross-page translated block):
 
 * the decode is resolved at translation time (no per-step cache probe);
 * the ALU operation and operand register indices are bound into each
@@ -31,7 +33,12 @@ each code-writing attack in the suite doubles as an invalidation test.
 A store *inside* a block re-checks its own page's version immediately,
 so a block that overwrites itself stops at the exact store that modified
 it (reason ``"smc"``), with ``pc``/``instret`` pointing at the next
-instruction -- precisely what the interpreter would have retired.
+instruction -- precisely what the interpreter would have retired.  A
+page-straddling block watches its second page too, and every entry into
+it (looked up or chained) re-checks that page's FETCH translation and
+code version (:meth:`TranslatedBlock.tail_valid`); a second page no
+longer mapped executable raises the interpreter's ``PageFault`` with
+nothing retired.
 
 **Exactness contract.**  Block execution is budget-limited: the machine
 passes the remaining slice quantum, and a block never retires more than
@@ -65,12 +72,17 @@ pay one epoch compare per instruction instead of an 8-byte scan.  On a
 clean range step 1 is a no-op and is skipped; a store that writes taint
 into its own block's fetch range exits the block at that precise
 instruction (reason ``"dirty"``; in practice the SMC check claims it
-first).  Only an instruction that straddles two guest pages -- which no
-block can hold -- steps through the instrumented interpreter.  When the
-whole shadow is clean and the thread holds no taint,
-:meth:`TranslatedBlock.execute_taint` batches the data-side probes per
-block by delegating to the plain closures outright.  See
-``docs/taint_model.md`` for the dispatch picture.
+first).  Page-straddling instructions run fused like any other; no
+retirement steps through the interpreter.
+
+Where a block's taint work can only move counters, it runs its plain
+closures instead.  With a clean bank and no pending control window, a
+block whose fetch range and data footprint are clean retires wholly on
+the fast path.  A *pure* block (no data memory) over tainted fetch bytes
+replays a recorded counter delta (:meth:`BlockTranslator._replay`): the
+fused run's slow retirements and interner lookups, keyed by the fetch
+shadow pages' epoch and the process tag.  See ``docs/taint_model.md``
+for the dispatch picture.
 
 Blocks bind a specific CPU's register file and a specific MMU at
 translation time; a :class:`BlockTranslator` therefore belongs to one
@@ -81,7 +93,7 @@ ever run under the address space it was translated for.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.cpu import (
     CPU,
@@ -156,6 +168,11 @@ class TranslatedBlock:
     transfer, executed by the ``term`` closure), ``"syscall"``,
     ``"halt"``, or ``"fall"`` (page boundary / undecodable successor --
     execution continues at the next pc with a fresh lookup).
+
+    A block with a ``tail`` holds one instruction whose bytes straddle
+    two guest pages: ``start_paddr`` is its first byte, on ``phys_page``,
+    and ``tail`` is ``(vaddr, paddr, code_version)`` of the first byte
+    on the second page.
     """
 
     __slots__ = (
@@ -164,8 +181,10 @@ class TranslatedBlock:
         "start_paddr",
         "phys_page",
         "version",
+        "tail",
         "body",
         "n_body",
+        "n_insns",
         "kind",
         "term",
         "pure",
@@ -179,9 +198,11 @@ class TranslatedBlock:
         "taint_term",
         "taint_ctx",
         "fetch_shadow_page",
-        "fetch_len",
+        "fetch_tail_page",
+        "fetch_runs",
         "fetch_epoch",
         "fetch_clean",
+        "replay",
         "data_analyzed",
         "data_cacheable",
         "data_influence",
@@ -201,14 +222,18 @@ class TranslatedBlock:
         term: Optional[Callable[[], int]],
         insns: Optional[List[Instruction]] = None,
         term_insn: Optional[Instruction] = None,
+        tail: Optional[Tuple[int, int, int]] = None,
     ) -> None:
         self.cpu = cpu
         self.start_pc = start_pc
         self.start_paddr = start_paddr
         self.phys_page = start_paddr >> PAGE_SHIFT
         self.version = version
+        self.tail = tail
         self.body = body
         self.n_body = len(body)
+        #: Total instructions in the block, terminator included.
+        self.n_insns = self.n_body + (1 if kind != "fall" else 0)
         self.kind = kind
         self.term = term
         # A block with no memory operations can neither fault nor modify
@@ -227,20 +252,26 @@ class TranslatedBlock:
         #: The block-taint context the fused closures were compiled
         #: against (their fetch memos are per tracker).
         self.taint_ctx = None
-        #: The one shadow page holding this block's fetch footprint
-        #: (a block never leaves its 256-byte MMU page, which can never
-        #: straddle a 4 KiB shadow page).  Set by :meth:`ensure_taint`.
+        #: The shadow pages of the first and last fetch byte.  A 256-byte
+        #: MMU page never straddles a 4 KiB shadow page, so they differ
+        #: only for a straddling instruction whose two frames lie in
+        #: different shadow pages.  Set by :meth:`ensure_taint`.
         self.fetch_shadow_page = -1
-        #: Fetch-footprint length in bytes (``n_insns * INSTRUCTION_SIZE``,
-        #: set by :meth:`ensure_taint`) -- the range whose *byte-precise*
+        self.fetch_tail_page = -1
+        #: The fetch footprint as ``(paddr, length)`` physical runs (two
+        #: for a straddling instruction) -- the bytes whose *byte-precise*
         #: cleanliness gates fused taint execution.
-        self.fetch_len = 0
+        self.fetch_runs: Tuple[Tuple[int, int], ...] = ()
         #: Cached byte-precise fetch-range verdict, valid while the fetch
-        #: shadow page's epoch equals ``fetch_epoch`` (the flag-cache bit:
-        #: re-probing a dirty page the block's bytes don't intersect costs
-        #: one epoch compare instead of a range scan).
+        #: pages' epoch (:meth:`fetch_page_epoch`) equals ``fetch_epoch``
+        #: (the flag-cache bit: re-probing a dirty page the block's bytes
+        #: don't intersect costs one epoch compare instead of a scan).
         self.fetch_epoch = -1
         self.fetch_clean = True
+        #: The block-replay record (:meth:`BlockTranslator._replay`):
+        #: ``(fetch epoch, slow retirements, interner lookups, process
+        #: tag)`` of a fused run that moved nothing but counters.
+        self.replay: Optional[Tuple] = None
         #: Data-side write-set summary (see :meth:`_analyze_data`): the
         #: static address-influence verdict, and the cached shadow-page
         #: footprint keyed by (influence-register signature, MMU mapping
@@ -253,10 +284,29 @@ class TranslatedBlock:
         self.data_epoch = -1
         self.data_pages: Optional[frozenset] = None
 
-    @property
-    def n_insns(self) -> int:
-        """Total instructions in the block, terminator included."""
-        return self.n_body + (1 if self.kind != "fall" else 0)
+    def tail_valid(self) -> bool:
+        """Whether a straddling block's second page still holds the bytes
+        it was translated from: the same FETCH translation and the same
+        code version.
+
+        Raises the :class:`PageFault` ``cpu.step`` raises when the page
+        is no longer mapped executable.
+        """
+        vaddr, paddr, version = self.tail
+        return (
+            self.cpu.mmu.translate(vaddr, AccessKind.FETCH) == paddr
+            and self._code_version(paddr >> PAGE_SHIFT) == version
+        )
+
+    def fetch_page_epoch(self, epochs: Dict[int, int]) -> int:
+        """The fetch shadow pages' mutation epoch, from the live
+        ``page number -> epoch`` table.  Two pages add their epochs:
+        epochs only grow, so an unchanged sum means neither page changed.
+        """
+        epoch = epochs.get(self.fetch_shadow_page, 0)
+        if self.fetch_tail_page != self.fetch_shadow_page:
+            epoch += epochs.get(self.fetch_tail_page, 0)
+        return epoch
 
     def execute(self, budget: int) -> str:
         """Run up to *budget* instructions of this block.
@@ -327,27 +377,45 @@ class TranslatedBlock:
         Taint compilation is deferred past plain translation: most blocks
         only ever run uninstrumented, and the taint runtime itself is a
         lazy import (see :func:`_load_taint_runtime`).  The closures'
-        fetch memos hold one tracker's shadow epochs and interner
-        counts, so a block reached through another tracker's context is
-        compiled afresh.
+        fetch memos, the cached fetch-range verdict and the replay
+        record hold one tracker's shadow epochs and interner counts, so
+        a block reached through another tracker's context is compiled
+        afresh and forgets them.
         """
         _load_taint_runtime()
-        self.fetch_shadow_page = self.start_paddr >> SHADOW_PAGE_SHIFT
-        self.fetch_len = self.n_insns * INSTRUCTION_SIZE
-        fetch_end = self.start_paddr + self.fetch_len
+        start = self.start_paddr
+        # The block's fetch byte addresses in fetch order: a range, or
+        # two runs on two frames for a straddling instruction.
+        if self.tail is None:
+            length = self.n_insns * INSTRUCTION_SIZE
+            self.fetch_runs = ((start, length),)
+            fetch_bytes = range(start, start + length)
+        else:
+            head = PAGE_SIZE - (start & _PAGE_MASK)
+            tail_paddr = self.tail[1]
+            self.fetch_runs = ((start, head), (tail_paddr, INSTRUCTION_SIZE - head))
+            fetch_bytes = tuple(range(start, start + head)) + tuple(
+                range(tail_paddr, tail_paddr + INSTRUCTION_SIZE - head)
+            )
+        self.fetch_shadow_page = fetch_bytes[0] >> SHADOW_PAGE_SHIFT
+        self.fetch_tail_page = fetch_bytes[-1] >> SHADOW_PAGE_SHIFT
+        self.fetch_epoch = -1
+        self.replay = None
         cpu = self.cpu
         taint_body: List[Callable] = []
         pc = self.start_pc
-        paddr = self.start_paddr
-        for insn in self.insns:
+        for i, insn in enumerate(self.insns):
+            insn_bytes = fetch_bytes[i * INSTRUCTION_SIZE : (i + 1) * INSTRUCTION_SIZE]
             taint_body.append(
-                _compile_taint(insn, cpu, pc, paddr, self.start_paddr, fetch_end, ctx)
+                _compile_taint(insn, cpu, pc, i, insn_bytes, fetch_bytes, ctx)
             )
             pc = (pc + INSTRUCTION_SIZE) & MASK32
-            paddr += INSTRUCTION_SIZE
         # Only "fall" blocks lack a terminator, and they never run one.
         self.taint_term = (
-            _compile_taint_term(self.term_insn, _compile_fetch(paddr, ctx))
+            _compile_taint_term(
+                self.term_insn,
+                _compile_fetch(fetch_bytes[self.n_body * INSTRUCTION_SIZE :], ctx),
+            )
             if self.term_insn is not None
             else None
         )
@@ -377,10 +445,13 @@ class TranslatedBlock:
         ``ctx.fetch_tainted`` says whether the block's fetch **range**
         carries taint (probed byte-precisely by
         :meth:`BlockTranslator.run_taint` through the per-page epoch
-        cache).  On a clean range every fused closure treats the fetched
-        bytes as provenance-free -- even when the surrounding 4 KiB
-        shadow page carries taint; on a tainted one each closure runs
-        its memoised fetch step.
+        cache; both pages' bytes for a straddling instruction).  On a
+        clean range every fused closure treats the fetched bytes as
+        provenance-free -- even when the surrounding 4 KiB shadow page
+        carries taint; on a tainted one each closure runs its memoised
+        fetch step.  The dispatcher runs the plain closures of clean
+        blocks on a dirty shadow and of replayable pure blocks itself
+        (:meth:`BlockTranslator.run_taint`).
 
         Stats contract: every retirement here is accounted on the
         tracker's counters with the same fast/slow split the interpreter
@@ -416,62 +487,45 @@ class TranslatedBlock:
         retired = 0
         try:
             i = 0
-            if (
-                self.pure
-                and budget >= n
-                and not ctx.fetch_tainted
-                and bank.tainted == 0
-                and not bank.flags
-                and ctx.tid not in ctx.pending
-            ):
-                # Armed-but-clean shortcut: a pure block touches no data
-                # memory and its fetch bytes are clean, so with a clean
-                # bank and no pending control window every per-insn gate
-                # below would pass and no propagation could change that
-                # mid-block.  Run the *plain* closures instead.
-                for fn in self.body:
-                    fn()
-                i = n
-            else:
-                taint_body = self.taint_body
-                limit = n if budget >= n else budget
-                code_version = self._code_version
-                page = self.phys_page
-                version = self.version
-                try:
-                    while i < limit:
-                        r = taint_body[i](ctx)
-                        i += 1
-                        if r:
-                            if code_version(page) != version:
-                                retired = i
-                                cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                                cpu.instret += i
-                                return "smc"
-                            if r == 2:
-                                retired = i
-                                cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                                cpu.instret += i
-                                return "dirty"
-                except GuestFault:
-                    # Precise fault: the faulting instruction did not
-                    # retire and made no taint mutations (every fused
-                    # closure does its architectural work first).
-                    retired = i
-                    cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                    cpu.instret += i
-                    raise
-                except Exception:
-                    # Anything else out of a slow arm -- a taint-budget
-                    # trip, tag-space exhaustion, a listener error --
-                    # happens *after* the architectural work, and the
-                    # interpreter counts such instructions as retired
-                    # (``on_insn_exec`` accounts first, then works).
+            taint_body = self.taint_body
+            limit = n if budget >= n else budget
+            code_version = self._code_version
+            page = self.phys_page
+            version = self.version
+            try:
+                while i < limit:
+                    r = taint_body[i](ctx)
                     i += 1
-                    retired = i
-                    cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                    cpu.instret += i
-                    raise
+                    if r:
+                        if code_version(page) != version:
+                            retired = i
+                            cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
+                            cpu.instret += i
+                            return "smc"
+                        if r == 2:
+                            retired = i
+                            cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
+                            cpu.instret += i
+                            return "dirty"
+            except GuestFault:
+                # Precise fault: the faulting instruction did not retire
+                # and made no taint mutations (every fused closure does
+                # its architectural work first).
+                retired = i
+                cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
+                cpu.instret += i
+                raise
+            except Exception:
+                # Anything else out of a slow arm -- a taint-budget trip,
+                # tag-space exhaustion, a listener error -- happens
+                # *after* the architectural work, and the interpreter
+                # counts such instructions as retired (``on_insn_exec``
+                # accounts first, then works).
+                i += 1
+                retired = i
+                cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
+                cpu.instret += i
+                raise
             kind = self.kind
             if i == n and budget > n and kind != "fall":
                 if kind == "jump":
@@ -908,8 +962,9 @@ def _compile_term(insn: Instruction, cpu: CPU, fall_pc: int) -> Callable[[], int
 # both machine and taint state exactly pre-instruction.
 
 
-def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
-    """Interpreter step 1 for the instruction at *insn_paddr*, memoised.
+def _compile_fetch(paddrs: Sequence[int], ctx) -> Callable[[], Optional[Tuple]]:
+    """Interpreter step 1 for the instruction fetched from *paddrs* (its
+    8 physical byte addresses, in fetch order), memoised.
 
     The closure returns ``None`` when the instruction's own fetch bytes
     are clean: step 1 collects nothing and the all-clean gate may still
@@ -918,21 +973,24 @@ def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
     each tainted fetch byte and union the bytes into ``insn_prov`` --
     and returns ``insn_prov``.
 
-    The memo is keyed by the fetch shadow page's epoch plus the process
-    tag, compared by value (``TagStore.process_tag`` returns a fresh
-    ``Tag`` per call).  It is recorded only after a scan that changed
-    no shadow byte, and such a scan repeats identically while the epoch
-    holds.  The interner never evicts, so every memoised lookup in the
-    repeated scan would hit: a memo hit returns the cached ``insn_prov``
-    and adds the recorded lookup count to ``interner.hits``.  Shadow
-    state, interner counters, stats and the process-tag mint order stay
-    bit-identical to :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
+    The memo is keyed by the fetch shadow pages' epoch (summed when a
+    straddling instruction's two frames sit on two shadow pages) plus
+    the process tag, compared by value (``TagStore.process_tag``
+    returns a fresh ``Tag`` per call).  It is recorded only after a
+    scan that changed no shadow byte, and such a scan repeats
+    identically while the epoch holds.  The interner never evicts, so
+    every memoised lookup in the repeated scan would hit: a memo hit
+    returns the cached ``insn_prov`` and adds the recorded lookup count
+    to ``interner.hits``.  Shadow state, interner counters, stats and
+    the process-tag mint order stay bit-identical to
+    :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
     """
-    page = insn_paddr >> SHADOW_PAGE_SHIFT
-    paddrs = range(insn_paddr, insn_paddr + INSTRUCTION_SIZE)
+    page = paddrs[0] >> SHADOW_PAGE_SHIFT
+    tail_page = paddrs[-1] >> SHADOW_PAGE_SHIFT
+    split = tail_page != page
     epochs = ctx.page_epochs
     shadow = ctx.shadow
-    range_clean = shadow.range_clean
+    bytes_clean = shadow.bytes_clean
     get_byte = shadow.get
     set_byte = shadow.set
     stats = ctx.stats
@@ -949,6 +1007,8 @@ def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
     def fetch():
         nonlocal memo_epoch, memo_tag, memo_prov, memo_lookups
         epoch = epochs.get(page, 0)
+        if split:
+            epoch += epochs.get(tail_page, 0)
         if epoch == memo_epoch:
             if memo_prov is None:
                 return None
@@ -958,7 +1018,7 @@ def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
                 memo_tag = tag  # later compares in this slice are identity
                 interner.hits += memo_lookups
                 return memo_prov
-        elif range_clean(insn_paddr, INSTRUCTION_SIZE):
+        elif bytes_clean(paddrs):
             memo_epoch, memo_prov = epoch, None
             return None
         else:
@@ -976,7 +1036,10 @@ def _compile_fetch(insn_paddr: int, ctx) -> Callable[[], Optional[Tuple]]:
                         stats.process_tag_appends += 1
                         prov = new
                 insn_prov = union(insn_prov, prov)
-        if epochs.get(page, 0) == epoch:
+        after = epochs.get(page, 0)
+        if split:
+            after += epochs.get(tail_page, 0)
+        if after == epoch:
             memo_epoch, memo_tag, memo_prov = epoch, tag, insn_prov
             memo_lookups = interner.hits + interner.misses - lookups
         else:
@@ -1061,22 +1124,24 @@ def _compile_taint(
     insn: Instruction,
     cpu: CPU,
     insn_pc: int,
-    insn_paddr: int,
-    fetch_start: int,
-    fetch_end: int,
+    index: int,
+    fetch_paddrs: Sequence[int],
+    block_fetch: Sequence[int],
     ctx,
 ) -> Callable:
     """Compile one non-terminating instruction into a fused taint closure.
 
-    The closure takes the slice's
-    :class:`~repro.taint.tracker.BlockTaintContext` (*ctx*, whose
-    tracker the fetch memo belongs to) and returns the store protocol
-    code: falsy to continue, ``1`` for a retired store (executor
-    re-checks the code version), ``2`` for a retired store that wrote
-    taint into the block's own fetch range ``[fetch_start, fetch_end)``
-    (executor exits with reason ``"dirty"``).  Taint landing elsewhere
-    on the fetch *shadow page* does not exit: the block's own bytes are
-    still clean, so fused execution may continue.
+    *index* is the instruction's position in its block, *fetch_paddrs*
+    its own 8 fetch byte addresses, and *block_fetch* every fetch byte
+    address of the block.  The closure takes the
+    slice's :class:`~repro.taint.tracker.BlockTaintContext` (*ctx*,
+    whose tracker the fetch memo belongs to) and returns the store
+    protocol code: falsy to continue, ``1`` for a retired store
+    (executor re-checks the code version), ``2`` for a retired store
+    that wrote taint into *block_fetch* (executor exits with reason
+    ``"dirty"``).  Taint landing elsewhere on the fetch *shadow page*
+    does not exit: the block's own bytes are still clean, so fused
+    execution may continue.
     """
     op = insn.op
     v = cpu.regs._values
@@ -1084,7 +1149,7 @@ def _compile_taint(
     rs1 = int(insn.rs1)
     shift = SHADOW_PAGE_SHIFT
     EMPTY = _EMPTY_PROV
-    fetch = _compile_fetch(insn_paddr, ctx)
+    fetch = _compile_fetch(fetch_paddrs, ctx)
 
     if op in (Op.LD, Op.LDB, Op.POP):
         disp = signed32(insn.imm)
@@ -1098,12 +1163,12 @@ def _compile_taint(
         byte = op is Op.LDB
         rd_reg = insn.rd
         regs_read = (Reg.SP,) if pop else (insn.rs1,)
-        fetch_paddrs = tuple(range(insn_paddr, insn_paddr + INSTRUCTION_SIZE))
+        fetch_paddrs = tuple(fetch_paddrs)
         next_pc = (insn_pc + INSTRUCTION_SIZE) & MASK32
         # Listeners read ``machine.now``; the executor advances
         # ``cpu.instret`` only at block exit, so lend them this
         # instruction's retirement tick.
-        retire_ticks = (insn_paddr - fetch_start) // INSTRUCTION_SIZE + 1
+        retire_ticks = index + 1
         LoadObservation = _LoadObservation
 
         @_mem
@@ -1245,7 +1310,7 @@ def _compile_taint(
                 # write also bumps the code page's version, so the SMC
                 # check usually claims the exit first).
                 for paddr in paddrs:
-                    if fetch_start <= paddr < fetch_end:
+                    if paddr in block_fetch:
                         return 2
             return 1
         return store
@@ -1322,6 +1387,10 @@ class BlockTranslator:
         self.invalidations = 0
         self.chain_hits = 0
         self.lookups = 0
+        #: Instructions stepped outside a block: always 0, like
+        #: ``taint_single_steps``, since every instruction (page-straddling
+        #: ones included) runs in a block.  Both stay as gauges that the
+        #: end-to-end benchmark reads.
         self.single_steps = 0
         # Translated-tainted tier counters (the "obs" gauges for the new
         # dispatch tier; see Machine._bind_metrics).
@@ -1341,22 +1410,23 @@ class BlockTranslator:
         self.taint_footprint_checks = 0
         self.taint_footprint_cache_hits = 0
         self.taint_footprint_delegations = 0
+        # Pure blocks over tainted fetch bytes that replayed a recorded
+        # counter delta instead of running their fused closures.
+        self.taint_block_replays = 0
 
     # -- cache management --------------------------------------------------------
 
-    def lookup(self, cpu: CPU) -> Optional[TranslatedBlock]:
+    def lookup(self, cpu: CPU) -> TranslatedBlock:
         """Return a valid block starting at ``cpu.pc``, translating on miss.
 
-        Returns ``None`` when the pc sits so close to the page end that
-        the instruction itself spans pages -- the caller single-steps.
         Propagates :class:`PageFault`/:class:`InvalidInstruction` for a
-        non-executable pc or undecodable first instruction, with zero
-        instructions retired (the precise-fault contract).
+        non-executable pc or undecodable first instruction -- for a
+        page-straddling instruction, also a second page that is not
+        mapped executable -- with zero instructions retired (the
+        precise-fault contract).
         """
         pc = cpu.pc
         paddr = cpu.mmu.translate(pc, AccessKind.FETCH)
-        if (pc & _PAGE_MASK) > _FETCH_FAST_LIMIT:
-            return None
         page = paddr >> PAGE_SHIFT
         memory = self._memory
         memory.watch_code_page(page)
@@ -1373,6 +1443,11 @@ class BlockTranslator:
             entry = (version, {})
             per_as[page] = entry
         block = entry[1].get(pc)
+        if block is not None and block.tail is not None and not block.tail_valid():
+            # A straddling instruction's second page was rewritten or
+            # remapped; its first page (the cache key) was not.
+            self.invalidations += 1
+            block = None
         if block is None:
             block = self._translate(cpu, pc, paddr, page, version)
             entry[1][pc] = block
@@ -1383,16 +1458,32 @@ class BlockTranslator:
         self, cpu: CPU, start_pc: int, start_paddr: int, page: int, version: int
     ) -> TranslatedBlock:
         memory = self._memory
-        page_base = page << PAGE_SHIFT
-        raw = memory.read_bytes(page_base, PAGE_SIZE)
-        off = start_paddr - page_base
+        off = start_paddr & _PAGE_MASK
+        limit = _FETCH_FAST_LIMIT
+        tail = None
+        if off <= limit:
+            raw = memory.read_bytes(page << PAGE_SHIFT, PAGE_SIZE)
+        else:
+            # The instruction's bytes straddle two guest pages: translate
+            # it alone, fetched the way ``cpu.step`` fetches it (the
+            # second page's FETCH translation faults the same way).
+            head = PAGE_SIZE - off
+            tail_vaddr = (start_pc + head) & MASK32
+            tail_paddr = cpu.mmu.translate(tail_vaddr, AccessKind.FETCH)
+            tail_page = tail_paddr >> PAGE_SHIFT
+            memory.watch_code_page(tail_page)
+            tail = (tail_vaddr, tail_paddr, memory.code_version(tail_page))
+            raw = memory.read_bytes(start_paddr, head) + memory.read_bytes(
+                tail_paddr, INSTRUCTION_SIZE - head
+            )
+            off = limit = 0
         pc = start_pc
         body: List[Callable[[], Optional[bool]]] = []
         insns: List[Instruction] = []
         term_insn: Optional[Instruction] = None
         kind = "fall"
         term: Optional[Callable[[], int]] = None
-        while off <= _FETCH_FAST_LIMIT:
+        while off <= limit:
             try:
                 insn = cached_decode(raw[off : off + INSTRUCTION_SIZE])
             except DecodeError as exc:
@@ -1421,7 +1512,7 @@ class BlockTranslator:
             off += INSTRUCTION_SIZE
             pc = (pc + INSTRUCTION_SIZE) & MASK32
         return TranslatedBlock(
-            cpu, start_pc, start_paddr, version, body, kind, term, insns, term_insn
+            cpu, start_pc, start_paddr, version, body, kind, term, insns, term_insn, tail
         )
 
     # -- execution ---------------------------------------------------------------
@@ -1430,23 +1521,14 @@ class BlockTranslator:
         """Execute up to *budget* instructions starting at ``cpu.pc``.
 
         Chains through directly-reachable blocks until the budget runs
-        out or execution hits a syscall, halt, self-modifying store, or
-        an instruction that must be single-stepped.  Returns the final
-        stop reason (``"syscall"``, ``"halt"``, ``"smc"``, ``"jump"``,
-        or ``"fall"``); the retirement count is observable as the change
-        in ``cpu.instret``.  Guest faults propagate with precise state.
+        out or execution hits a syscall, halt, or self-modifying store.
+        Returns the final stop reason (``"syscall"``, ``"halt"``,
+        ``"smc"``, ``"jump"``, or ``"fall"``); the retirement count is
+        observable as the change in ``cpu.instret``.  Guest faults
+        propagate with precise state.
         """
         self.lookups += 1
         block = self.lookup(cpu)
-        if block is None:
-            # Cross-page instruction: step_fast handles the split fetch.
-            self.single_steps += 1
-            fx = cpu.step_fast()
-            if fx.syscall:
-                return "syscall"
-            if fx.halted:
-                return "halt"
-            return "fall"
         memory = self._memory
         mmu_translate = cpu.mmu.translate
         code_version = memory.code_version
@@ -1465,14 +1547,13 @@ class BlockTranslator:
                     nxt is not None
                     and nxt.version == code_version(nxt.phys_page)
                     and mmu_translate(pc, AccessKind.FETCH) == nxt.start_paddr
+                    and (nxt.tail is None or nxt.tail_valid())
                 ):
                     self.chain_hits += 1
                     block = nxt
                     continue
                 self.lookups += 1
                 nxt = self.lookup(cpu)
-                if nxt is None:
-                    return "fall"
                 if len(block.chain) < _CHAIN_LIMIT:
                     block.chain[pc] = nxt
                 block = nxt
@@ -1480,56 +1561,66 @@ class BlockTranslator:
             # reason == "fall" with budget remaining: page-boundary
             # fall-through -- continue at the next page.
             self.lookups += 1
-            nxt = self.lookup(cpu)
-            if nxt is None:
-                return "fall"
-            block = nxt
+            block = self.lookup(cpu)
 
     def run_taint(self, cpu: CPU, budget: int, ctx) -> str:
         """Taint-tier twin of :meth:`run`: block execution with fused
         Table I propagation against *ctx* (a
         :class:`~repro.taint.tracker.BlockTaintContext`).
 
-        Every block runs fused.  Before each block (entry and chain
-        alike) the dispatcher probes whether its fetch **range** carries
-        taint and tells the closures through ``ctx.fetch_tainted``.  The
-        probe is two-level: a clean fetch *shadow page* (one dict miss)
-        passes outright; a dirty page falls to :meth:`_fetch_clean`,
-        which consults the per-block epoch-cached byte-precise verdict
-        -- so attack-shaped layouts where code shares a 4 KiB shadow
-        page with planted tainted data (export tables, staged payloads)
-        skip the fetch step.  A tainted range -- a file-tagged image,
-        or the possibly-injected code FAROS exists to observe -- runs
-        each closure's memoised fetch step, which collects the bytes'
-        provenance for the detection listeners exactly as the
-        interpreter's per-byte scan does.  Only an instruction that
-        straddles two guest pages goes through :meth:`_taint_step`.
+        Before each block (entry and chain alike) the dispatcher probes
+        whether its fetch **range** carries taint and tells the closures
+        through ``ctx.fetch_tainted``.  The probe is two-level: clean
+        fetch *shadow pages* (dict misses) pass outright; a dirty page
+        falls to :meth:`_fetch_clean`, which consults the per-block
+        epoch-cached byte-precise verdict -- so attack-shaped layouts
+        where code shares a 4 KiB shadow page with planted tainted data
+        (export tables, staged payloads) skip the fetch step.  A tainted
+        range -- a file-tagged image, or the possibly-injected code
+        FAROS exists to observe -- runs each closure's memoised fetch
+        step, which collects the bytes' provenance for the detection
+        listeners exactly as the interpreter's per-byte scan does.
+
+        With a clean bank and no pending control window, two kinds of
+        block run their plain closures instead of the fused ones: a
+        block whose fetch range and predicted data footprint are clean
+        (every retirement is fast), and a pure block over tainted fetch
+        bytes, which replays a recorded counter delta (:meth:`_replay`).
         """
         _load_taint_runtime()
         self.taint_lookups += 1
         block = self.lookup(cpu)
-        if block is None:
-            # Cross-page instruction: the interpreter handles the split
-            # fetch (and the tracker its effects).
-            return self._taint_step(cpu, ctx)
         memory = self._memory
         mmu_translate = cpu.mmu.translate
         code_version = memory.code_version
         dirty = ctx.dirty_pages
-        shadow = ctx.shadow
         spent = 0
         while True:
             if block.taint_ctx is not ctx:
                 block.ensure_taint(ctx)
-            fetch_tainted = block.fetch_shadow_page in dirty and not self._fetch_clean(
-                block, shadow
-            )
+            fetch_tainted = (
+                block.fetch_shadow_page in dirty or block.fetch_tail_page in dirty
+            ) and not self._fetch_clean(block, ctx)
             ctx.fetch_tainted = fetch_tainted
             before = cpu.instret
             bank = ctx.bank
-            if (
+            left = budget - spent
+            if fetch_tainted:
+                # Test the block's own slot first: a block that cannot
+                # replay pays nothing for the check.
+                if (
+                    block.pure
+                    and left >= block.n_insns
+                    and ctx.budget_check is None
+                    and bank.tainted == 0
+                    and not bank.flags
+                    and ctx.tid not in ctx.pending
+                ):
+                    reason = self._replay(block, left, ctx)
+                else:
+                    reason = block.execute_taint(left, ctx)
+            elif (
                 dirty
-                and not fetch_tainted
                 and bank.tainted == 0
                 and not bank.flags
                 and ctx.tid not in ctx.pending
@@ -1548,13 +1639,13 @@ class BlockTranslator:
                 self.taint_footprint_delegations += 1
                 stats = ctx.stats
                 try:
-                    reason = block.execute(budget - spent)
+                    reason = block.execute(left)
                 finally:
                     retired = cpu.instret - before
                     stats.instructions += retired
                     stats.fast_retirements += retired
             else:
-                reason = block.execute_taint(budget - spent, ctx)
+                reason = block.execute_taint(left, ctx)
             self.taint_executions += 1
             spent += cpu.instret - before
             if reason == "dirty":
@@ -1569,39 +1660,98 @@ class BlockTranslator:
                     nxt is not None
                     and nxt.version == code_version(nxt.phys_page)
                     and mmu_translate(pc, AccessKind.FETCH) == nxt.start_paddr
+                    and (nxt.tail is None or nxt.tail_valid())
                 ):
                     self.chain_hits += 1
                 else:
                     self.taint_lookups += 1
                     nxt = self.lookup(cpu)
-                    if nxt is None:
-                        return "fall"
                     if len(block.chain) < _CHAIN_LIMIT:
                         block.chain[pc] = nxt
             else:
                 # Page-boundary fall-through.
                 self.taint_lookups += 1
                 nxt = self.lookup(cpu)
-                if nxt is None:
-                    return "fall"
             block = nxt
 
-    def _fetch_clean(self, block: TranslatedBlock, shadow) -> bool:
+    def _replay(self, block: TranslatedBlock, budget: int, ctx) -> str:
+        """Run a pure block over tainted fetch bytes whose fused run can
+        only move counters, by replaying those counters.
+
+        Caller contract: the block is pure (no data memory), *budget*
+        covers it terminator included, the bank is clean, no control
+        window is pending and no taint budget is set.  Then each fused
+        closure's slow path changes nothing but counters: the bank
+        holds no provenance, so every Table I rule writes ``EMPTY``
+        over ``EMPTY`` (``union(EMPTY, EMPTY)`` counts no lookup), no
+        window can arm, and only the fetch step's tag appends touch the
+        shadow.  A fused run that retires the whole block and leaves the
+        fetch pages' epoch unchanged made no append, so the record it
+        leaves -- its slow retirements and interner lookups, keyed by
+        that epoch and the process tag (by value) -- repeats exactly
+        while the key holds: epochs only grow, and the interner never
+        evicts, so every recorded lookup would now hit.
+
+        A replay runs the plain closures and adds the lookups to
+        ``interner.hits``, the slow count to ``slow_retirements`` and
+        the rest of the block to ``fast_retirements``; the process tag
+        is minted (the interpreter's first slow retirement mints it)
+        only when the record holds slow retirements.
+        """
+        cpu = block.cpu
+        stats = ctx.stats
+        interner = ctx.interner
+        epochs = ctx.page_epochs
+        epoch = block.fetch_page_epoch(epochs)
+        record = block.replay
+        if record is not None and record[0] == epoch:
+            _, slow, lookups, tag = record
+            proc_tag = ctx.get_proc_tag() if slow else None
+            if proc_tag is tag or proc_tag == tag:
+                self.taint_block_replays += 1
+                before = cpu.instret
+                reason = block.execute(budget)
+                retired = cpu.instret - before
+                stats.instructions += retired
+                stats.slow_retirements += slow
+                stats.fast_retirements += retired - slow
+                interner.hits += lookups
+                return reason
+        slow0 = stats.slow_retirements
+        lookups0 = interner.hits + interner.misses
+        before = cpu.instret
+        reason = block.execute_taint(budget, ctx)
+        if (
+            cpu.instret - before == block.n_insns
+            and block.fetch_page_epoch(epochs) == epoch
+        ):
+            slow = stats.slow_retirements - slow0
+            block.replay = (
+                epoch,
+                slow,
+                interner.hits + interner.misses - lookups0,
+                ctx.get_proc_tag() if slow else None,
+            )
+        return reason
+
+    def _fetch_clean(self, block: TranslatedBlock, ctx) -> bool:
         """Byte-precise fetch-range verdict for a block on a dirty page.
 
-        Cached per block against the shadow page's mutation epoch: while
-        the page's content hasn't changed, re-probing costs one integer
+        Cached per block against the fetch pages' mutation epoch: while
+        their content hasn't changed, re-probing costs one integer
         compare.  Any content change (set/clear/bulk op/page deletion)
         bumps the epoch and forces one
-        :meth:`~repro.taint.shadow.ShadowMemory.range_clean` rescan.
+        :meth:`~repro.taint.shadow.ShadowMemory.range_clean` rescan per
+        fetch run.
         """
         self.taint_range_checks += 1
-        epoch = shadow.page_epoch(block.fetch_shadow_page)
+        epoch = block.fetch_page_epoch(ctx.page_epochs)
         if epoch == block.fetch_epoch:
             self.taint_range_cache_hits += 1
             clean = block.fetch_clean
         else:
-            clean = shadow.range_clean(block.start_paddr, block.fetch_len)
+            range_clean = ctx.shadow.range_clean
+            clean = all(range_clean(start, n) for start, n in block.fetch_runs)
             block.fetch_epoch = epoch
             block.fetch_clean = clean
         if clean:
@@ -1650,24 +1800,6 @@ class BlockTranslator:
             if page in dirty:
                 return False
         return True
-
-    def _taint_step(self, cpu: CPU, ctx) -> str:
-        """Retire the one instruction at ``cpu.pc`` that straddles two
-        guest pages, through the instrumented interpreter (``cpu.step``
-        + ``on_insn_exec``).
-
-        No block can hold such an instruction, so this is the only
-        retirement the taint tier does not fuse; the tracker runs its
-        exact per-byte fetch scan and the load listeners on it.
-        """
-        fx = cpu.step()
-        self.taint_single_steps += 1
-        ctx.tracker.on_insn_exec(ctx.machine, ctx.thread, fx)
-        if fx.syscall:
-            return "syscall"
-        if fx.halted:
-            return "halt"
-        return "fall"
 
     # -- introspection -----------------------------------------------------------
 
@@ -1719,5 +1851,6 @@ class BlockTranslator:
             "taint_footprint_checks": self.taint_footprint_checks,
             "taint_footprint_cache_hits": self.taint_footprint_cache_hits,
             "taint_footprint_delegations": self.taint_footprint_delegations,
+            "taint_block_replays": self.taint_block_replays,
             "cached_blocks": self.cached_blocks(),
         }

@@ -197,7 +197,11 @@ class ShadowMemory:
         self._class_of: List[int] = [0]
         #: flag cache: page number -> summary word (absent = not cached).
         self._summaries: Dict[int, int] = {}
-        #: page number -> mutation epoch (bumped on every content change).
+        #: page number -> mutation epoch (absent = 0): bumped on every
+        #: content change, page deletion included, never on representation
+        #: changes -- so an unchanged epoch certifies any cached verdict
+        #: about the page's bytes (the block translator's fetch-range
+        #: verdicts, fetch memos and replay records).
         self._epochs: Dict[int, int] = {}
         #: promotion back-off: page number -> retry once len(page) >= this.
         self._promote_retry: Dict[int, int] = {}
@@ -233,16 +237,6 @@ class ShadowMemory:
     def _bump(self, number: int) -> None:
         epochs = self._epochs
         epochs[number] = epochs.get(number, 0) + 1
-
-    def page_epoch(self, number: int) -> int:
-        """Monotonic content-mutation counter for shadow page *number*.
-
-        Bumped on every content change (including page deletion), never
-        on representation changes -- so an unchanged epoch certifies any
-        cached byte-precise verdict about the page (the translator's
-        per-block fetch-range cleanliness bit).
-        """
-        return self._epochs.get(number, 0)
 
     def page_summary(self, number: int) -> int:
         """Summary word of page *number*: OR of its bytes' class masks.
@@ -868,17 +862,6 @@ class ShadowMemory:
                 if tags.count(0, a3, b3) != b3 - a3:
                     return False
         return True
-
-    def page_dirty(self, number: int) -> bool:
-        """True if shadow page *number* holds at least one tainted byte.
-
-        The single-page form of :meth:`pages_clean`, for callers that
-        already know their footprint lies in one shadow page -- the
-        block translator's per-block fetch-footprint probe (a whole
-        translated block sits inside one 256-byte MMU page, which can
-        never straddle a 4 KiB shadow page).
-        """
-        return number in self._pages
 
     # ------------------------------------------------------------------
     # promotion / demotion

@@ -591,8 +591,7 @@ class BlockTaintContext:
         #: :meth:`~repro.taint.shadow.ShadowMemory.pages_clean`).
         self.dirty_pages = tracker.shadow._pages
         #: The live page-epoch table (``number -> epoch``, absent = 0;
-        #: decision-identical to
-        #: :meth:`~repro.taint.shadow.ShadowMemory.page_epoch`).
+        #: epochs only grow, bumped on every content change).
         self.page_epochs = tracker.shadow._epochs
         #: Whether the block about to run has taint in its fetch range.
         self.fetch_tainted = False

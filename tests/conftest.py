@@ -24,6 +24,7 @@ from repro.emulator.machine import Machine, MachineConfig
 from repro.guestos import layout
 from repro.guestos.asmlib import program
 from repro.isa.assembler import assemble
+from repro.isa.memory import PAGE_SIZE
 
 
 @pytest.fixture
@@ -42,3 +43,12 @@ def spawn_asm(machine: Machine, path: str, *sections: str, name=None, suspended=
     """Register and immediately spawn a guest program."""
     register_asm(machine, path, *sections)
     return machine.kernel.spawn(path, name=name, suspended=suspended)
+
+
+def pad_to_page_offset(source: str, label: str, page_offset: int) -> str:
+    """Fill the ``{pad}`` placeholder (a ``.space`` size) in *source* so
+    that *label* sits *page_offset* bytes into its guest page -- e.g.
+    252 puts an 8-byte instruction across a page boundary."""
+    probe = assemble(program(source.replace("{pad}", "0")), base=layout.IMAGE_BASE)
+    pad = (page_offset - probe.label(label)) % PAGE_SIZE
+    return source.replace("{pad}", str(pad))

@@ -1,13 +1,17 @@
 """Self-modifying / injected code vs the translation cache.
 
 Injected code is freshly *written* memory, so stale-block invalidation
-is the threat model, not an edge case.  Three layers of proof:
+is the threat model, not an edge case.  Four layers of proof:
 
 * unit: every write channel into a watched page (byte/word/bulk store,
   guest store instruction, frame recycling) bumps the code version and
   invalidates cached blocks;
 * machine: a guest that patches its own instructions executes the *new*
   bytes, identically to the interpreted path;
+* page-straddling instructions: a block fetched from two pages is
+  re-validated against its second page on every entry, so rewriting,
+  unmapping or un-executing that page is seen exactly as the
+  interpreter sees it;
 * attacks: every scenario runs through the cache, and the attacks that
   overwrite previously-executed code (process hollowing and the
   code-injection family) are seen invalidating.  The attacks that write
@@ -29,7 +33,7 @@ from repro.isa.assembler import assemble
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, FrameAllocator, PhysicalMemory
 from repro.isa.registers import Reg
 
-from tests.conftest import spawn_asm
+from tests.conftest import pad_to_page_offset, spawn_asm
 from tests.isa.test_cpu import MEM_SIZE, make_cpu
 from tests.isa.test_translate import make_translated, run_translated
 
@@ -146,6 +150,120 @@ class TestSelfPatchingGuest:
                 # page, so the stale block must have been invalidated.
                 assert machine.translator.invalidations >= 1
         assert finals[True] == finals[False]
+
+
+#: A straddling ``movi r5, ...`` (its immediate on the second page)
+#: whose immediate the program rewrites between executions.  The
+#: rewrite bumps only the second page's code version, and the jump back
+#: comes through a chained block on the first page, so the chained entry
+#: must re-check the second page.  Passes load 1, 5, 10 and 15: exit 31.
+STRADDLE_SMC = """
+start:
+    movi r7, 4
+    movi r3, 0
+    movi r6, 0
+    movi r4, strad
+loop:
+    jmp strad
+    .space {pad}
+strad:
+    movi r5, 1
+    jmp after
+    .space 256
+after:
+    add r3, r3, r5
+    addi r6, r6, 5
+    stb [r4+4], r6
+    subi r7, r7, 1
+    cmpi r7, 0
+    jnz loop
+    mov r1, r3
+    movi r0, SYS_EXIT
+    syscall
+"""
+
+#: The first half of a ``movi r5, 0`` planted at offset 252 of a fresh
+#: one-page allocation; its second half would be fetched from the
+#: unmapped page after it.
+STRADDLE_UNMAPPED = """
+start:
+    movi r1, 256
+    movi r2, PERM_RWX
+    movi r0, SYS_ALLOC
+    syscall
+    mov r4, r0
+    movi r2, 0x511
+    st [r4+252], r2
+    addi r4, r4, 252
+    jmpr r4
+"""
+
+#: A straddling instruction runs once, then the program makes its
+#: second page read-write (not executable) and jumps back through the
+#: block that chained to it on the first pass.
+STRADDLE_NOEXEC = """
+start:
+    movi r7, 2
+loop:
+    subi r7, r7, 1
+    cmpi r7, 0
+    jnz go
+    movi r1, strad
+    addi r1, r1, 4
+    movi r2, 256
+    movi r3, PERM_RW
+    movi r0, SYS_PROTECT
+    syscall
+go:
+    jmp strad
+    .space {pad}
+strad:
+    movi r5, 7
+    jmp loop
+"""
+
+STRADDLE_PROGRAMS = {
+    "smc": pad_to_page_offset(STRADDLE_SMC, "strad", PAGE_SIZE - 4),
+    "unmapped": STRADDLE_UNMAPPED,
+    "noexec": pad_to_page_offset(STRADDLE_NOEXEC, "strad", PAGE_SIZE - 4),
+}
+
+
+class TestStraddlingInstructionPages:
+    """The uninstrumented tier against ``translate=False``."""
+
+    @staticmethod
+    def run_both(source):
+        out = {}
+        for translate in (True, False):
+            machine = Machine(MachineConfig(translate=translate))
+            proc = spawn_asm(machine, "s.exe", source)
+            stats = machine.run(10_000)
+            out[translate] = (machine, proc, stats)
+        (m_on, p_on, s_on), (m_off, p_off, s_off) = out[True], out[False]
+        assert (m_on.now, p_on.exit_code, s_on.stop_reason) == (
+            m_off.now,
+            p_off.exit_code,
+            s_off.stop_reason,
+        )
+        assert m_on.kernel.console_log == m_off.kernel.console_log
+        assert m_on.translator.single_steps == 0
+        return m_on, p_on
+
+    def test_rewritten_second_page_retranslates(self):
+        machine, proc = self.run_both(STRADDLE_PROGRAMS["smc"])
+        assert proc.exit_code == 31
+        assert machine.translator.invalidations >= 3
+
+    def test_unmapped_second_page_faults_precisely(self):
+        machine, proc = self.run_both(STRADDLE_PROGRAMS["unmapped"])
+        assert proc.exit_code == 0xDEAD
+        assert "unmapped" in machine.kernel.console_log[-1][1]
+
+    def test_second_page_losing_execute_faults_precisely(self):
+        machine, proc = self.run_both(STRADDLE_PROGRAMS["noexec"])
+        assert proc.exit_code == 0xDEAD
+        assert "permission denied" in machine.kernel.console_log[-1][1]
 
 
 class TestAttackInvalidation:

@@ -6,8 +6,8 @@ taint tier's local contracts on whole machines carrying a lone
 ``insn_effects_plan`` reduces to the fused per-block closures):
 
 * armed-but-clean code keeps executing translated blocks (the per-block
-  fetch-shadow-page probe), with the pure-clean shortcut retiring
-  everything fast;
+  fetch-shadow-page probe), with whole clean blocks delegated to the
+  plain closures and retiring everything fast;
 * cleanliness is byte-precise: blocks on shadow pages that are dirty
   but whose *instruction bytes* are clean stay fused (taint planted
   next to code -- the attack-shaped layout -- no longer evicts it),
@@ -19,7 +19,13 @@ taint tier's local contracts on whole machines carrying a lone
   traffic, calls) leaves bit-identical tracker state vs the
   instrumented interpreter;
 * watchdogs, scheduled fault events, and taint budgets fire at the
-  identical tick inside tainted blocks.
+  identical tick inside tainted blocks;
+* pure blocks over file-tagged code replay a recorded counter delta,
+  and every condition that must stop a replay does (a budget cut, a
+  taint budget, another process's tag, a pending control window, a
+  second tracker);
+* page-straddling instructions run fused in blocks of their own, and
+  their second page is re-checked on every entry.
 
 The cross-tracker randomized matrix lives in
 ``tests/taint/test_differential.py``; full attack-level runs in
@@ -27,18 +33,27 @@ The cross-tracker randomized matrix lives in
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.emulator.machine import Machine, MachineConfig
 from repro.faults.plan import InjectedMachineFault
-from repro.isa.cpu import AccessKind
+from repro.guestos.asmlib import program
+from repro.guestos.layout import IMAGE_BASE
+from repro.isa.assembler import assemble
+from repro.isa.cpu import CPU, AccessKind
+from repro.isa.errors import PageFault
+from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
+from repro.isa.translate import BlockTranslator
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
+from repro.taint.shadow import SHADOW_PAGE_SIZE
 from repro.taint.tags import Tag, TagType
 from repro.taint.tracker import TaintTracker
 
 from tests.conftest import register_asm
+from tests.isa.test_translate_smc import STRADDLE_PROGRAMS
 
 SEED = Tag(TagType.NETFLOW, 9)
 
@@ -145,8 +160,8 @@ class TestArmedButCleanStaysTranslated:
 
     def test_armed_but_clean_thread_retires_fast(self):
         """Taint exists (tracker armed) but this thread never touches
-        it: every retirement stays on the fast counter, pure blocks via
-        the pure-clean shortcut and impure ones via per-closure gates."""
+        it: every retirement stays on the fast counter, clean blocks via
+        whole-block delegation and the rest via per-closure gates."""
         machine, tracker, _ = run_one(ARMED_CLEAN, seeds=[("far", 4)])
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
@@ -524,3 +539,322 @@ class TestDataFootprintCache:
         ts = taint_stats(machine)
         assert ts["taint_footprint_delegations"] == 0
         assert tracker.stats.slow_retirements > 0
+
+
+#: A pure loop (no data memory) for the block-replay tests.  Its blocks
+#: run over file-tagged code once ``CODE`` is seeded.
+PURE_LOOP = """
+start:
+    movi r5, 60
+loop:
+    addi r1, r1, 3
+    muli r2, r1, 5
+    xor r3, r1, r2
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    jmp park
+"""
+
+#: Seed the whole image with a file tag, as FAROS does at spawn.
+CODE_TAG = Tag(TagType.FILE, 4)
+CODE = ("start", 256, CODE_TAG)
+
+
+class TestBlockReplay:
+    """Pure blocks over tainted fetch bytes, with a clean bank and no
+    pending control window, replay the counters a fused run recorded."""
+
+    @pytest.mark.parametrize("tags_on_access", [False, True])
+    def test_pure_loop_replays_and_matches_interpreter(self, tags_on_access):
+        policy = TaintPolicy(process_tags_on_access=tags_on_access)
+        (machine, tracker, _), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
+        assert taint_stats(machine)["taint_block_replays"] > 0
+        assert tracker.stats.slow_retirements > 0
+
+    @pytest.mark.parametrize("quantum", [2, 3, 4, 7])
+    def test_budget_cuts_inside_replayable_blocks(self, quantum):
+        # Slices end inside the loop's blocks at every offset: a block
+        # the budget does not cover must run fused, not replay.
+        run_pair(PURE_LOOP, seeds=[CODE], quantum=quantum)
+
+    def test_taint_budget_policy_never_replays(self):
+        policy = TaintPolicy(max_tainted_bytes=1 << 20)
+        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
+        assert taint_stats(machine)["taint_block_replays"] == 0
+
+    def test_other_process_tag_prevents_replay(self):
+        # One block cache serves one address space, hence one process,
+        # so the tag key can only differ when a context is rebound to
+        # another process's thread over the same code: drive that by
+        # hand.  The other process's tag is not yet on the fetch bytes,
+        # so its scans must append it; a replay would skip that.
+        def phases(tracker, proc):
+            other = SimpleNamespace(
+                tid=proc.main_thread.tid + 100, process=SimpleNamespace(cr3=proc.cr3 + 1)
+            )
+            return [(proc.main_thread, 151), (other, 60), (proc.main_thread, 60)]
+
+        on, off = drive_pair(SPIN_LOOP, phases)
+        assert on[0].translator.taint_block_replays > 0
+
+    def test_pending_control_window_prevents_replay(self):
+        # Under the control-dependency policy a window is armed from
+        # tainted flags, which leaves a tainted register behind -- and a
+        # tainted bank stops a replay by itself.  Plant a window on a
+        # clean bank to check the window test on its own.
+        def phases(tracker, proc):
+            thread = proc.main_thread
+
+            def plant():
+                tracker._pending_control[thread.tid] = [(SEED,), 4]
+
+            return [(thread, 151), plant, (thread, 30)]
+
+        policy = TaintPolicy(track_control_deps=True)
+        on, off = drive_pair(SPIN_LOOP, phases, policy=policy)
+        assert on[0].translator.taint_block_replays > 0
+        assert on[1].banks.snapshot()  # the window reached the registers
+
+    def test_second_tracker_gets_no_stale_replay(self):
+        # The first tracker records the loop block at its code page's
+        # epoch; the second starts at the same epoch with only one of
+        # the block's instructions tagged, so a record carried over
+        # would replay five slow retirements where one is right.
+        policy = TaintPolicy(process_tags_on_access=False)
+        results = {}
+        for translate in (True, False):
+            machine = Machine(MachineConfig(translate=translate))
+            first = TaintTracker(policy=policy, interner=ProvInterner())
+            machine.plugins.register(first)
+            prog = register_asm(machine, "t.exe", SPIN_LOOP)
+            proc = machine.kernel.spawn("t.exe")
+            aspace = proc.aspace
+            first.taint_range(
+                aspace.translate_range(prog.label("start"), 48, AccessKind.READ), CODE_TAG
+            )
+            machine.run(400)
+            machine.plugins.unregister(first)
+            second = TaintTracker(policy=policy, interner=ProvInterner())
+            machine.plugins.register(second)
+            second.taint_range(
+                aspace.translate_range(prog.label("loop"), 8, AccessKind.READ), CODE_TAG
+            )
+            machine.run(400)
+            results[translate] = (machine, first, second)
+        (m_on, first_on, second_on), (m_off, first_off, second_off) = (
+            results[True],
+            results[False],
+        )
+        assert m_on.translator.taint_block_replays > 0
+        assert m_on.now == m_off.now
+        for on, off in ((first_on, first_off), (second_on, second_off)):
+            assert on.stats == off.stats
+            assert on.shadow.snapshot() == off.shadow.snapshot()
+            assert (on.interner.hits, on.interner.misses) == (
+                off.interner.hits,
+                off.interner.misses,
+            )
+
+
+#: An endless pure loop for the hand-driven replay tests.  A phase of
+#: 1 + 5k retirements ends at the loop head, so the next phase enters
+#: the loop block, whose replay record the earlier passes made.
+SPIN_LOOP = """
+start:
+    movi r5, 1000000
+loop:
+    addi r1, r1, 3
+    muli r2, r1, 5
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    hlt
+"""
+
+
+def drive_pair(body, phases, policy=None):
+    """Run *body* by hand on a translating and an interpreting machine.
+
+    *phases(tracker, proc)* lists ``(thread, n)`` steps -- retire *n*
+    instructions attributed to *thread* -- and callables run between
+    them.  The translated leg dispatches through
+    :meth:`~repro.isa.translate.BlockTranslator.run_taint` with the
+    tracker's context rebound to each thread, the interpreted leg
+    through ``cpu.step`` plus ``on_insn_exec``.  Returns both legs'
+    ``(machine, tracker)`` after asserting them bit-identical.
+    """
+    legs = {}
+    for translate in (True, False):
+        machine = Machine(MachineConfig(translate=translate))
+        tracker = TaintTracker(policy=policy or TaintPolicy(), interner=ProvInterner())
+        machine.plugins.register(tracker)
+        prog = register_asm(machine, "t.exe", body)
+        proc = machine.kernel.spawn("t.exe")
+        tracker.taint_range(
+            proc.aspace.translate_range(prog.label("start"), 48, AccessKind.READ),
+            CODE_TAG,
+        )
+        cpu = machine.cpu
+        cpu.mmu = proc.aspace
+        cpu.restore_context(proc.main_thread.context)
+        for phase in phases(tracker, proc):
+            if callable(phase):
+                phase()
+                continue
+            thread, n = phase
+            end = cpu.instret + n
+            if translate:
+                ctx = tracker.block_context(machine, thread)
+                while cpu.instret < end:
+                    machine.translator.run_taint(cpu, end - cpu.instret, ctx)
+            else:
+                while cpu.instret < end:
+                    tracker.on_insn_exec(machine, thread, cpu.step())
+        legs[translate] = (machine, tracker)
+    (m_on, on), (m_off, off) = legs[True], legs[False]
+    assert m_on.cpu.instret == m_off.cpu.instret
+    assert m_on.cpu.regs.snapshot() == m_off.cpu.regs.snapshot()
+    assert on.stats == off.stats
+    assert on.shadow.snapshot() == off.shadow.snapshot()
+    assert on.banks.snapshot() == off.banks.snapshot()
+    assert (on.interner.hits, on.interner.misses) == (
+        off.interner.hits,
+        off.interner.misses,
+    )
+    assert on.tags.sizes() == off.tags.sizes()
+    return legs[True], legs[False]
+
+
+class TestStraddlingInstructionsFused:
+    """The taint tier on the straddle programs of ``test_translate_smc``,
+    over file-tagged code, against ``translate=False``."""
+
+    @staticmethod
+    def run_pair(name):
+        source = STRADDLE_PROGRAMS[name]
+        code = assemble(program(source, PARK), base=IMAGE_BASE).code
+        return run_pair(source, seeds=[("start", len(code), CODE_TAG)], budget=10_000)
+
+    @pytest.mark.parametrize("name", sorted(STRADDLE_PROGRAMS))
+    def test_matches_interpreter(self, name):
+        (machine, _, _), (machine_off, _, _) = self.run_pair(name)
+        assert machine.kernel.console_log == machine_off.kernel.console_log
+        assert [p.exit_code for p in machine.kernel.processes.values()] == [
+            p.exit_code for p in machine_off.kernel.processes.values()
+        ]
+        assert taint_stats(machine)["taint_single_steps"] == 0
+
+    def test_rewritten_second_page_runs_the_new_bytes(self):
+        (machine, _, _), _ = self.run_pair("smc")
+        (proc,) = machine.kernel.processes.values()
+        assert proc.exit_code == 31
+        assert taint_stats(machine)["taint_block_replays"] > 0
+
+
+class FrameMapMMU:
+    """Maps virtual pages to chosen physical frames."""
+
+    def __init__(self, frames):
+        self.frames = frames
+
+    def translate(self, vaddr, access):
+        frame = self.frames.get(vaddr >> PAGE_SHIFT)
+        if frame is None:
+            raise PageFault(vaddr, access.value, "unmapped")
+        return (frame << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
+
+
+#: Two straddling instructions, each across a 4 KiB shadow-page edge
+#: (see the frame map below): a load, which runs its fused closure and
+#: fetch memo, and a pure ``addi``, whose block replays.
+SPLIT_STRADDLES = """
+start:
+    movi r6, 0x180
+    movi r5, 1000
+loop:
+    jmp strad
+    .space {pad}
+strad:
+    ld r1, [r6]
+    jmp strad2
+    .space 496
+strad2:
+    addi r2, r2, 1
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    hlt
+"""
+
+
+class TestStraddleAcrossShadowPages:
+    def test_fetch_probe_memo_and_replay_cover_both_shadow_pages(self):
+        """Each instruction's second frame starts a new shadow page.
+        Only those tails are tagged, then re-tagged one at a time: the
+        block probe, the fetch memo and the replay record must all
+        watch the tail's shadow page, not just the first byte's."""
+        probe = assemble(SPLIT_STRADDLES.replace("{pad}", "0")).label("strad")
+        prog = assemble(
+            SPLIT_STRADDLES.replace("{pad}", str((PAGE_SIZE - 4 - probe) % PAGE_SIZE))
+        )
+        assert prog.label("strad") % PAGE_SIZE == prog.label("strad2") % PAGE_SIZE == 252
+        per_shadow = SHADOW_PAGE_SIZE // PAGE_SIZE
+        frames = {0: per_shadow - 1, 1: per_shadow, 2: 2 * per_shadow - 1, 3: 2 * per_shadow}
+        tails = [
+            tuple(range(frames[page] * PAGE_SIZE, frames[page] * PAGE_SIZE + 4))
+            for page in (1, 3)
+        ]
+        retags = [
+            [(tails[0], Tag(TagType.FILE, 1)), (tails[1], Tag(TagType.FILE, 1))],
+            [(tails[0], Tag(TagType.FILE, 2))],
+            [(tails[1], Tag(TagType.FILE, 3))],
+        ]
+        thread = SimpleNamespace(tid=1, process=SimpleNamespace(cr3=0x42))
+        legs = {}
+        for translate in (True, False):
+            memory = PhysicalMemory(4 * SHADOW_PAGE_SIZE)
+            mmu = FrameMapMMU(frames)
+            for i, byte in enumerate(prog.code):
+                memory.write_byte(mmu.translate(i, AccessKind.WRITE), byte)
+            cpu = CPU(memory, mmu)
+            clock = _Clock(cpu)
+            tracker = TaintTracker(policy=TaintPolicy(), interner=ProvInterner())
+            log = []
+            tracker.add_load_listener(
+                lambda m, obs, log=log: log.append((m.now, obs.fx.pc, obs.insn_prov))
+            )
+            translator = BlockTranslator(memory)
+            for plants in retags:
+                for paddrs, tag in plants:
+                    tracker.taint_range(paddrs, tag)
+                end = cpu.instret + 120
+                if translate:
+                    ctx = tracker.block_context(clock, thread)
+                    while cpu.instret < end:
+                        translator.run_taint(cpu, end - cpu.instret, ctx)
+                else:
+                    while cpu.instret < end:
+                        tracker.on_insn_exec(clock, thread, cpu.step())
+            legs[translate] = (tracker, log, translator)
+        (on, log_on, translator), (off, log_off, _) = legs[True], legs[False]
+        assert sum(b.tail is not None for b in translator.blocks()) == 2
+        assert translator.taint_block_replays > 0
+        assert log_on == log_off and len(log_on) > 20
+        assert on.stats == off.stats
+        assert on.shadow.snapshot() == off.shadow.snapshot()
+        assert (on.interner.hits, on.interner.misses) == (
+            off.interner.hits,
+            off.interner.misses,
+        )
+
+
+class _Clock:
+    """The one ``Machine`` attribute a load listener reads."""
+
+    def __init__(self, cpu):
+        self._cpu = cpu
+
+    @property
+    def now(self):
+        return self._cpu.instret

@@ -228,8 +228,14 @@ def guest_programs(draw, passes=1):
     words and a scratch buffer.  With ``passes > 1`` the whole body
     repeats that many times (counted in r7, which no random op
     touches), so fetch memos recorded on one pass are hit on the next.
+    An optional leading ``jmp`` over 1-7 bytes misaligns the rest, so
+    whichever instruction crosses a 256-byte page boundary straddles
+    two guest pages.
     """
     lines = ["start:"]
+    skew = draw(st.integers(0, 7))
+    if skew:
+        lines += ["    jmp body", f"    .space {skew}", "body:"]
     if passes > 1:
         lines += [f"    movi r7, {passes}", "again:"]
     lines += [
