@@ -103,7 +103,6 @@ def compare_interpreted_vs_translated(best_of: int = BEST_OF):
     assert translated.translator is not None and interpreted.translator is None
     stats = translated.translator.stats()
     assert stats["executions"] > 0, "translated run never used the cache"
-    assert stats["single_steps"] == 0, "aligned workload should never single-step"
 
     speedup = times[False] / times[True]
     insns = translated.now

@@ -262,7 +262,7 @@ def compare_translate_on_vs_off():
         f"{taint_speedup:.2f}x",
         f"  taint tier  : executions={tstats['taint_executions']} "
         f"single_steps={tstats['taint_single_steps']} "
-        f"dirty_exits={tstats['taint_dirty_exits']}",
+        f"block_replays={tstats['taint_block_replays']}",
         f"  drift       : none ({on.shadow.tainted_bytes} tainted bytes, "
         f"fast={on.stats.fast_retirements} slow={on.stats.slow_retirements} "
         "identical)",

@@ -174,7 +174,6 @@ class Machine:
             m.gauge("translate.executions", lambda: translator.executions)
             m.gauge("translate.invalidations", lambda: translator.invalidations)
             m.gauge("translate.chain_hits", lambda: translator.chain_hits)
-            m.gauge("translate.single_steps", lambda: translator.single_steps)
             m.gauge("translate.cached_blocks", translator.cached_blocks)
             # The translated-tainted tier's retirement counters.
             m.gauge("translate.taint_lookups", lambda: translator.taint_lookups)
@@ -182,36 +181,7 @@ class Machine:
             m.gauge(
                 "translate.taint_single_steps", lambda: translator.taint_single_steps
             )
-            m.gauge(
-                "translate.taint_dirty_exits", lambda: translator.taint_dirty_exits
-            )
-            # Byte-precise fetch-range probes on dirty shadow pages.
-            m.gauge(
-                "translate.taint_range_checks", lambda: translator.taint_range_checks
-            )
-            m.gauge(
-                "translate.taint_range_cache_hits",
-                lambda: translator.taint_range_cache_hits,
-            )
-            m.gauge(
-                "translate.taint_dirty_page_runs",
-                lambda: translator.taint_dirty_page_runs,
-            )
-            # Per-block data-footprint summaries (write-set cache).
-            m.gauge(
-                "translate.taint_footprint_checks",
-                lambda: translator.taint_footprint_checks,
-            )
-            m.gauge(
-                "translate.taint_footprint_cache_hits",
-                lambda: translator.taint_footprint_cache_hits,
-            )
-            m.gauge(
-                "translate.taint_footprint_delegations",
-                lambda: translator.taint_footprint_delegations,
-            )
-            # Pure blocks over tainted fetch bytes replaying a recorded
-            # counter delta.
+            # Pure blocks replaying a recorded counter delta.
             m.gauge(
                 "translate.taint_block_replays",
                 lambda: translator.taint_block_replays,

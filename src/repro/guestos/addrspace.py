@@ -95,10 +95,9 @@ class AddressSpace:
         self.areas: List[VirtualArea] = []
         #: Mapping-mutation counter: bumped by every operation that can
         #: change what :meth:`translate` returns (map/unmap/protect/
-        #: teardown).  Consumers that cache translation *results* -- the
-        #: block translator's per-block data-footprint summaries -- key
-        #: them on this epoch so a remap invalidates them without any
-        #: per-translate bookkeeping.
+        #: teardown), so a cache of translation *results* can key on it
+        #: and a remap invalidates it without any per-translate
+        #: bookkeeping.  No such cache exists in the package today.
         self.epoch = 0
 
     # -- MMU protocol -------------------------------------------------------------

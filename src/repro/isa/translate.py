@@ -50,39 +50,35 @@ instruction-at-a-time execution.  Guest faults restore ``pc`` and
 
 **The translated-tainted tier.**  Once taint exists, the machine used to
 drop to the per-instruction interpreter.  :meth:`BlockTranslator.run_taint`
-instead executes the same cached blocks through *fused taint closures*
-(:func:`_compile_taint`): each closure does the instruction's
-architectural work, then the tracker's all-clean gate (bank clean, no
-pending control window, own fetch bytes clean, data footprint on clean
-shadow pages -- one membership probe against the live dirty-page
-index), and only on a gate miss the full Table I slow path, mirroring
-:meth:`~repro.taint.tracker.TaintTracker.on_insn_exec` bit-for-bit.
+instead executes the same cached blocks, each one of two ways:
 
-Code whose fetch bytes carry taint runs fused too.  That covers every
-image FAROS loads (``Kernel.spawn`` reads each image through the file
-hook, so its code is file-tagged before its first instruction) and
-injected code.  The dispatcher probes each block's fetch range
-byte-precisely (verdict cached per block against the shadow page's
-mutation epoch) and tells the closures through
-``ctx.fetch_tainted``.  On a tainted range each closure runs the
+* **replay** -- a *pure* block (no data memory) on a clean register
+  bank, with no pending control window, no taint budget and budget
+  left for the whole block, runs its plain closures and replays the
+  counter delta a fused run of it recorded
+  (:meth:`BlockTranslator._replay`);
+* **fused** -- every other block runs its *fused taint closures*
+  (:func:`_compile_taint`).  Each closure does the instruction's
+  architectural work, then its fetch step, then the tracker's
+  all-clean gate (bank clean, no pending control window, data bytes on
+  clean shadow pages -- one membership probe against the live
+  dirty-page index), and only on a gate miss the full Table I slow
+  path, mirroring :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`
+  bit-for-bit.
+
+The fetch step (:func:`_compile_fetch`) is the one place fetch
+cleanliness is decided, per instruction and byte-precisely.  It is the
 interpreter's step 1 -- append the process tag to each tainted fetch
-byte, union them into ``insn_prov`` -- through a per-instruction memo
-(:func:`_compile_fetch`), so steady-state loops over file-tagged code
-pay one epoch compare per instruction instead of an 8-byte scan.  On a
-clean range step 1 is a no-op and is skipped; a store that writes taint
-into its own block's fetch range exits the block at that precise
-instruction (reason ``"dirty"``; in practice the SMC check claims it
-first).  Page-straddling instructions run fused like any other; no
-retirement steps through the interpreter.
-
-Where a block's taint work can only move counters, it runs its plain
-closures instead.  With a clean bank and no pending control window, a
-block whose fetch range and data footprint are clean retires wholly on
-the fast path.  A *pure* block (no data memory) over tainted fetch bytes
-replays a recorded counter delta (:meth:`BlockTranslator._replay`): the
-fused run's slow retirements and interner lookups, keyed by the fetch
-shadow pages' epoch and the process tag.  See ``docs/taint_model.md``
-for the dispatch picture.
+byte, union them into ``insn_prov`` -- memoised on the fetch shadow
+pages' mutation epoch, so a steady-state loop pays one epoch compare
+per instruction whether its bytes are clean or file-tagged (every image
+FAROS loads is: ``Kernel.spawn`` reads it through the file hook).  Any
+change to those bytes' provenance bumps the epoch and the next fetch
+step rescans; a store that writes them also rewrites the watched code page
+and ends the block at that store (``"smc"``).  The replay record is
+keyed on the same epoch plus the process tag.  Page-straddling
+instructions run like any other; no retirement steps through the
+interpreter.  See ``docs/taint_model.md`` for the dispatch picture.
 
 Blocks bind a specific CPU's register file and a specific MMU at
 translation time; a :class:`BlockTranslator` therefore belongs to one
@@ -113,7 +109,7 @@ from repro.isa.instructions import (
     signed32,
 )
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
-from repro.isa.registers import MASK32, NUM_REGS, Reg
+from repro.isa.registers import MASK32, Reg
 
 _PAGE_MASK = PAGE_SIZE - 1
 #: Highest page offset at which a 4-byte access cannot span pages.
@@ -199,16 +195,7 @@ class TranslatedBlock:
         "taint_ctx",
         "fetch_shadow_page",
         "fetch_tail_page",
-        "fetch_runs",
-        "fetch_epoch",
-        "fetch_clean",
         "replay",
-        "data_analyzed",
-        "data_cacheable",
-        "data_influence",
-        "data_sig",
-        "data_epoch",
-        "data_pages",
     )
 
     def __init__(
@@ -258,31 +245,10 @@ class TranslatedBlock:
         #: different shadow pages.  Set by :meth:`ensure_taint`.
         self.fetch_shadow_page = -1
         self.fetch_tail_page = -1
-        #: The fetch footprint as ``(paddr, length)`` physical runs (two
-        #: for a straddling instruction) -- the bytes whose *byte-precise*
-        #: cleanliness gates fused taint execution.
-        self.fetch_runs: Tuple[Tuple[int, int], ...] = ()
-        #: Cached byte-precise fetch-range verdict, valid while the fetch
-        #: pages' epoch (:meth:`fetch_page_epoch`) equals ``fetch_epoch``
-        #: (the flag-cache bit: re-probing a dirty page the block's bytes
-        #: don't intersect costs one epoch compare instead of a scan).
-        self.fetch_epoch = -1
-        self.fetch_clean = True
         #: The block-replay record (:meth:`BlockTranslator._replay`):
         #: ``(fetch epoch, slow retirements, interner lookups, process
         #: tag)`` of a fused run that moved nothing but counters.
         self.replay: Optional[Tuple] = None
-        #: Data-side write-set summary (see :meth:`_analyze_data`): the
-        #: static address-influence verdict, and the cached shadow-page
-        #: footprint keyed by (influence-register signature, MMU mapping
-        #: epoch).  ``data_sig is None`` means "never evaluated" -- it
-        #: can never equal a real signature tuple.
-        self.data_analyzed = False
-        self.data_cacheable = False
-        self.data_influence: Tuple[int, ...] = ()
-        self.data_sig: Optional[Tuple[int, ...]] = None
-        self.data_epoch = -1
-        self.data_pages: Optional[frozenset] = None
 
     def tail_valid(self) -> bool:
         """Whether a straddling block's second page still holds the bytes
@@ -377,38 +343,31 @@ class TranslatedBlock:
         Taint compilation is deferred past plain translation: most blocks
         only ever run uninstrumented, and the taint runtime itself is a
         lazy import (see :func:`_load_taint_runtime`).  The closures'
-        fetch memos, the cached fetch-range verdict and the replay
-        record hold one tracker's shadow epochs and interner counts, so
-        a block reached through another tracker's context is compiled
-        afresh and forgets them.
+        fetch memos and the replay record hold one tracker's shadow
+        epochs and interner counts, so a block reached through another
+        tracker's context is compiled afresh and forgets them.
         """
         _load_taint_runtime()
         start = self.start_paddr
         # The block's fetch byte addresses in fetch order: a range, or
         # two runs on two frames for a straddling instruction.
         if self.tail is None:
-            length = self.n_insns * INSTRUCTION_SIZE
-            self.fetch_runs = ((start, length),)
-            fetch_bytes = range(start, start + length)
+            fetch_bytes = range(start, start + self.n_insns * INSTRUCTION_SIZE)
         else:
             head = PAGE_SIZE - (start & _PAGE_MASK)
             tail_paddr = self.tail[1]
-            self.fetch_runs = ((start, head), (tail_paddr, INSTRUCTION_SIZE - head))
             fetch_bytes = tuple(range(start, start + head)) + tuple(
                 range(tail_paddr, tail_paddr + INSTRUCTION_SIZE - head)
             )
         self.fetch_shadow_page = fetch_bytes[0] >> SHADOW_PAGE_SHIFT
         self.fetch_tail_page = fetch_bytes[-1] >> SHADOW_PAGE_SHIFT
-        self.fetch_epoch = -1
         self.replay = None
         cpu = self.cpu
         taint_body: List[Callable] = []
         pc = self.start_pc
         for i, insn in enumerate(self.insns):
             insn_bytes = fetch_bytes[i * INSTRUCTION_SIZE : (i + 1) * INSTRUCTION_SIZE]
-            taint_body.append(
-                _compile_taint(insn, cpu, pc, i, insn_bytes, fetch_bytes, ctx)
-            )
+            taint_body.append(_compile_taint(insn, cpu, pc, i, insn_bytes, ctx))
             pc = (pc + INSTRUCTION_SIZE) & MASK32
         # Only "fall" blocks lack a terminator, and they never run one.
         self.taint_term = (
@@ -426,32 +385,17 @@ class TranslatedBlock:
         """Run up to *budget* instructions with fused Table I propagation.
 
         The taint-tier twin of :meth:`execute`, with the same exactness
-        contract (budget cuts, precise guest faults, ``"smc"`` stops)
-        plus two taint-specific behaviours:
+        contract (budget cuts, precise guest faults, ``"smc"`` stops --
+        a store that writes this block's fetch bytes, tainting them or
+        not, rewrites its watched code page and stops the block there).
+        A :class:`~repro.faults.errors.TaintBudgetExceeded` out of a
+        slow arm propagates with *post*-instruction state -- the
+        interpreter raises after the instruction retired, and the
+        differential suite holds the two paths to the same tick.
 
-        * ``"dirty"`` -- a store in this block wrote taint into the
-          block's own fetch *range* while the block ran with a clean
-          one.  The store retired; the caller must re-probe the range
-          before running on, so the next instruction's fetch step runs.
-          (In practice the ``"smc"`` check preempts this -- such a store
-          also rewrote bytes of the block's watched code page -- so the
-          ``"dirty"`` exit is defence in depth.)
-        * A :class:`~repro.faults.errors.TaintBudgetExceeded` out of a
-          slow arm propagates with *post*-instruction state -- the
-          interpreter raises after the instruction retired, and the
-          differential suite holds the two paths to the same tick.
-
-        Caller contract: :meth:`ensure_taint` ran for *ctx*, and
-        ``ctx.fetch_tainted`` says whether the block's fetch **range**
-        carries taint (probed byte-precisely by
-        :meth:`BlockTranslator.run_taint` through the per-page epoch
-        cache; both pages' bytes for a straddling instruction).  On a
-        clean range every fused closure treats the fetched bytes as
-        provenance-free -- even when the surrounding 4 KiB shadow page
-        carries taint; on a tainted one each closure runs its memoised
-        fetch step.  The dispatcher runs the plain closures of clean
-        blocks on a dirty shadow and of replayable pure blocks itself
-        (:meth:`BlockTranslator.run_taint`).
+        Caller contract: :meth:`ensure_taint` ran for *ctx*.  Each fused
+        closure decides its own fetch bytes' cleanliness through its
+        memoised fetch step, whatever the surrounding shadow page holds.
 
         Stats contract: every retirement here is accounted on the
         tracker's counters with the same fast/slow split the interpreter
@@ -460,28 +404,6 @@ class TranslatedBlock:
         cpu = self.cpu
         n = self.n_body
         stats = ctx.stats
-        bank = ctx.bank
-        if (
-            bank.tainted == 0
-            and not bank.flags
-            and ctx.tid not in ctx.pending
-            and not ctx.dirty_pages
-        ):
-            # Whole-block batching: with a clean bank, no pending control
-            # window and a *wholly clean shadow* there is nothing any
-            # per-closure data probe could find -- every per-insn gate
-            # passes, no propagation can change that mid-block (plain
-            # stores cannot create taint), and the interpreter would
-            # retire every instruction on the fast path.  Run the plain
-            # closures (same SMC/fault/budget exactness) and account the
-            # whole block as fast retirements in one step.
-            before = cpu.instret
-            try:
-                return self.execute(budget)
-            finally:
-                retired = cpu.instret - before
-                stats.instructions += retired
-                stats.fast_retirements += retired
         slow0 = stats.slow_retirements
         start_pc = self.start_pc
         retired = 0
@@ -494,19 +416,13 @@ class TranslatedBlock:
             version = self.version
             try:
                 while i < limit:
-                    r = taint_body[i](ctx)
+                    stored = taint_body[i](ctx)
                     i += 1
-                    if r:
-                        if code_version(page) != version:
-                            retired = i
-                            cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                            cpu.instret += i
-                            return "smc"
-                        if r == 2:
-                            retired = i
-                            cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
-                            cpu.instret += i
-                            return "dirty"
+                    if stored and code_version(page) != version:
+                        retired = i
+                        cpu.pc = (start_pc + i * INSTRUCTION_SIZE) & MASK32
+                        cpu.instret += i
+                        return "smc"
             except GuestFault:
                 # Precise fault: the faulting instruction did not retire
                 # and made no taint mutations (every fused closure does
@@ -550,161 +466,6 @@ class TranslatedBlock:
             self.retired += retired
             stats.instructions += retired
             stats.fast_retirements += retired - (stats.slow_retirements - slow0)
-
-    # -- data-side write-set summary ---------------------------------------------
-
-    def _analyze_data(self) -> None:
-        """Static address-influence analysis (once per block).
-
-        Forward dataflow over the straight-line body tracking, for each
-        register, the set of *entry* registers its current value derives
-        from -- or ``None`` once a loaded value flows in.  Every memory
-        access's base register contributes its dependency set to
-        ``data_influence``; an access whose base depends on a loaded
-        value makes the block ``data_cacheable = False`` (its footprint
-        cannot be predicted from entry state), and the per-closure
-        probes keep handling it.  Terminators never touch data memory,
-        so only ``insns`` is walked.
-        """
-        self.data_analyzed = True
-        if self.insns is None:
-            return
-        deps: List[Optional[frozenset]] = [
-            frozenset((r,)) for r in range(NUM_REGS)
-        ]
-        influence: set = set()
-        for insn in self.insns:
-            op = insn.op
-            rd = int(insn.rd)
-            rs1 = int(insn.rs1)
-            if op in (Op.LD, Op.LDB, Op.POP):
-                base = deps[_SP] if op is Op.POP else deps[rs1]
-                if base is None:
-                    return
-                influence |= base
-                # The loaded value is dynamic; the POP side effect
-                # (SP += 4) still derives from the old SP.  Assignment
-                # order mirrors the closure: ``rd`` first, then SP, so
-                # a POP into SP ends up with the incremented value.
-                deps[rd] = None
-                if op is Op.POP:
-                    deps[_SP] = base
-            elif op in (Op.ST, Op.STB, Op.PUSH):
-                base = deps[_SP] if op is Op.PUSH else deps[rs1]
-                if base is None:
-                    return
-                influence |= base
-            elif op is Op.MOV:
-                deps[rd] = deps[rs1]
-            elif op is Op.MOVI:
-                deps[rd] = frozenset()
-            elif op in REG_ALU_OPS:
-                a, b = deps[rs1], deps[int(insn.rs2)]
-                deps[rd] = None if a is None or b is None else a | b
-            elif op in IMM_ALU_OPS:
-                deps[rd] = deps[rs1]
-            # NOP / CMP / CMPI write no register.
-        self.data_cacheable = True
-        self.data_influence = tuple(sorted(influence))
-
-    def _eval_data_footprint(self) -> Optional[frozenset]:
-        """Concretely predict the shadow pages this block's data accesses
-        touch, from the *current* register file.
-
-        A miniature forward evaluator mirroring the arithmetic of
-        :func:`_compile_straight` exactly; loaded values are irrelevant
-        by the :meth:`_analyze_data` contract (no access address depends
-        on one), so loads write 0.  Every access is translated with the
-        same access kind and page-split rule as its closure, and the
-        shadow pages of its physical bytes are collected.  Returns
-        ``None`` when a translation faults -- the block would fault
-        mid-execution, so the caller must fall back to the per-closure
-        path, which raises at the precise instruction.
-        """
-        cpu = self.cpu
-        translate = cpu.mmu.translate
-        v = list(cpu.regs._values)
-        READ = AccessKind.READ
-        WRITE = AccessKind.WRITE
-        shift = SHADOW_PAGE_SHIFT
-        pages = set()
-
-        def touch(vaddr: int, size: int, kind) -> None:
-            if (vaddr & _PAGE_MASK) <= PAGE_SIZE - size:
-                base = translate(vaddr, kind)
-                pages.add(base >> shift)
-                pages.add((base + size - 1) >> shift)
-            else:
-                # Page-crossing access: byte-wise, like the slow path.
-                for k in range(size):
-                    pages.add(translate((vaddr + k) & MASK32, kind) >> shift)
-
-        try:
-            for insn in self.insns:
-                op = insn.op
-                rd = int(insn.rd)
-                rs1 = int(insn.rs1)
-                if op is Op.LD:
-                    touch((v[rs1] + signed32(insn.imm)) & MASK32, 4, READ)
-                    v[rd] = 0
-                elif op is Op.LDB:
-                    touch((v[rs1] + signed32(insn.imm)) & MASK32, 1, READ)
-                    v[rd] = 0
-                elif op is Op.ST:
-                    touch((v[rs1] + signed32(insn.imm)) & MASK32, 4, WRITE)
-                elif op is Op.STB:
-                    touch((v[rs1] + signed32(insn.imm)) & MASK32, 1, WRITE)
-                elif op is Op.PUSH:
-                    sp = (v[_SP] - 4) & MASK32
-                    touch(sp, 4, WRITE)
-                    v[_SP] = sp
-                elif op is Op.POP:
-                    sp = v[_SP]
-                    touch(sp, 4, READ)
-                    v[rd] = 0
-                    v[_SP] = (sp + 4) & MASK32
-                elif op is Op.MOV:
-                    v[rd] = v[rs1]
-                elif op is Op.MOVI:
-                    v[rd] = insn.imm & MASK32
-                elif op is Op.ADD:
-                    v[rd] = (v[rs1] + v[int(insn.rs2)]) & MASK32
-                elif op is Op.SUB:
-                    v[rd] = (v[rs1] - v[int(insn.rs2)]) & MASK32
-                elif op is Op.MUL:
-                    v[rd] = (v[rs1] * v[int(insn.rs2)]) & MASK32
-                elif op is Op.AND:
-                    v[rd] = v[rs1] & v[int(insn.rs2)]
-                elif op is Op.OR:
-                    v[rd] = v[rs1] | v[int(insn.rs2)]
-                elif op is Op.XOR:
-                    v[rd] = v[rs1] ^ v[int(insn.rs2)]
-                elif op is Op.SHL:
-                    v[rd] = (v[rs1] << (v[int(insn.rs2)] & 31)) & MASK32
-                elif op is Op.SHR:
-                    v[rd] = v[rs1] >> (v[int(insn.rs2)] & 31)
-                elif op is Op.ADDI:
-                    v[rd] = (v[rs1] + (insn.imm & MASK32)) & MASK32
-                elif op is Op.SUBI:
-                    v[rd] = (v[rs1] - (insn.imm & MASK32)) & MASK32
-                elif op is Op.MULI:
-                    v[rd] = (v[rs1] * (insn.imm & MASK32)) & MASK32
-                elif op is Op.ANDI:
-                    v[rd] = v[rs1] & (insn.imm & MASK32)
-                elif op is Op.ORI:
-                    v[rd] = v[rs1] | (insn.imm & MASK32)
-                elif op is Op.XORI:
-                    v[rd] = v[rs1] ^ (insn.imm & MASK32)
-                elif op is Op.SHLI:
-                    v[rd] = (v[rs1] << (insn.imm & 31)) & MASK32
-                elif op is Op.SHRI:
-                    v[rd] = v[rs1] >> (insn.imm & 31)
-                elif op is Op.NOT:
-                    v[rd] = (~v[rs1]) & MASK32
-                # NOP / CMP / CMPI move no register values.
-        except GuestFault:
-            return None
-        return frozenset(pages)
 
 
 def _mem(fn: Callable) -> Callable:
@@ -950,39 +711,38 @@ def _compile_term(insn: Instruction, cpu: CPU, fall_pc: int) -> Callable[[], int
 # for its instruction shape -- same shadow/bank mutations, same interner
 # call sequence, same stats splits, same listener observations at the
 # same machine tick (tests/taint/test_differential.py compares them all
-# bit-for-bit).  The dispatcher sets ``ctx.fetch_tainted`` per block.
-# While the block's fetch *range* is byte-precisely clean, the per-insn
-# fetch scan (interpreter step 1) is provably a no-op -- zero provenance
-# collected, zero interner calls -- and ``insn_prov`` is EMPTY; a store
-# breaking that invariant exits via the smc/dirty protocol before the
-# next closure runs.  On a tainted range each closure calls its
-# memoised fetch step (:func:`_compile_fetch`) before the all-clean
-# gate, because tainted fetch bytes fail the gate outright.
-# Closures do their architectural work *first*, so a guest fault leaves
-# both machine and taint state exactly pre-instruction.
+# bit-for-bit).  Every closure calls its memoised fetch step
+# (:func:`_compile_fetch`, interpreter step 1) before the all-clean
+# gate: clean fetch bytes leave the gate to decide, tainted ones fail it
+# outright.  Closures do their architectural work *first*, so a guest
+# fault leaves both machine and taint state exactly pre-instruction.
 
 
 def _compile_fetch(paddrs: Sequence[int], ctx) -> Callable[[], Optional[Tuple]]:
     """Interpreter step 1 for the instruction fetched from *paddrs* (its
     8 physical byte addresses, in fetch order), memoised.
 
-    The closure returns ``None`` when the instruction's own fetch bytes
-    are clean: step 1 collects nothing and the all-clean gate may still
-    pass.  Otherwise it enters the slow path in interpreter order --
-    count the slow retirement, mint the process tag, append the tag to
-    each tainted fetch byte and union the bytes into ``insn_prov`` --
-    and returns ``insn_prov``.
+    This is the taint tier's only fetch-cleanliness decision.  The
+    closure returns ``None`` when the instruction's own fetch bytes are
+    clean -- byte-precisely, whatever else their shadow page holds:
+    step 1 collects nothing and the all-clean gate may still pass.
+    Otherwise it enters the slow path in interpreter order -- count the
+    slow retirement, mint the process tag, append the tag to each
+    tainted fetch byte and union the bytes into ``insn_prov`` -- and
+    returns ``insn_prov``.
 
     The memo is keyed by the fetch shadow pages' epoch (summed when a
-    straddling instruction's two frames sit on two shadow pages) plus
-    the process tag, compared by value (``TagStore.process_tag``
-    returns a fresh ``Tag`` per call).  It is recorded only after a
-    scan that changed no shadow byte, and such a scan repeats
-    identically while the epoch holds.  The interner never evicts, so
-    every memoised lookup in the repeated scan would hit: a memo hit
-    returns the cached ``insn_prov`` and adds the recorded lookup count
-    to ``interner.hits``.  Shadow state, interner counters, stats and
-    the process-tag mint order stay bit-identical to
+    straddling instruction's two frames sit on two shadow pages); a
+    tainted verdict is also keyed by the process tag, compared by value
+    (``TagStore.process_tag`` returns a fresh ``Tag`` per call).  Every
+    content change on the pages bumps their epoch, so a clean verdict
+    holds exactly while the epoch does.  A tainted verdict is recorded
+    only after a scan that changed no shadow byte, and such a scan
+    repeats identically while the epoch holds.  The interner never
+    evicts, so every memoised lookup in the repeated scan would hit: a
+    memo hit returns the cached ``insn_prov`` and adds the recorded
+    lookup count to ``interner.hits``.  Shadow state, interner counters,
+    stats and the process-tag mint order stay bit-identical to
     :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
     """
     page = paddrs[0] >> SHADOW_PAGE_SHIFT
@@ -1126,22 +886,16 @@ def _compile_taint(
     insn_pc: int,
     index: int,
     fetch_paddrs: Sequence[int],
-    block_fetch: Sequence[int],
     ctx,
 ) -> Callable:
     """Compile one non-terminating instruction into a fused taint closure.
 
-    *index* is the instruction's position in its block, *fetch_paddrs*
-    its own 8 fetch byte addresses, and *block_fetch* every fetch byte
-    address of the block.  The closure takes the
+    *index* is the instruction's position in its block and
+    *fetch_paddrs* its 8 fetch byte addresses.  The closure takes the
     slice's :class:`~repro.taint.tracker.BlockTaintContext` (*ctx*,
-    whose tracker the fetch memo belongs to) and returns the store
-    protocol code: falsy to continue, ``1`` for a retired store
-    (executor re-checks the code version), ``2`` for a retired store
-    that wrote taint into *block_fetch* (executor exits with reason
-    ``"dirty"``).  Taint landing elsewhere on the fetch *shadow page*
-    does not exit: the block's own bytes are still clean, so fused
-    execution may continue.
+    whose tracker the fetch memo belongs to) and, like the plain
+    closures, returns ``True`` for a retired store (the executor
+    re-checks the code version) and ``None`` otherwise.
     """
     op = insn.op
     v = cpu.regs._values
@@ -1191,7 +945,7 @@ def _compile_taint(
                 v[_SP] = (vaddr + 4) & MASK32
             # Tainted fetch bytes fail the all-clean gate: fetch() has
             # then already entered the slow path and run step 1.
-            insn_prov = fetch() if ctx.fetch_tainted else None
+            insn_prov = fetch()
             stats = ctx.stats
             bank = ctx.bank
             if insn_prov is None:
@@ -1263,7 +1017,7 @@ def _compile_taint(
         src = rs1 if push else int(insn.rs2)
 
         @_mem
-        def store(ctx) -> int:
+        def store(ctx) -> bool:
             if push:
                 vaddr = (v[_SP] - 4) & MASK32
             else:
@@ -1281,16 +1035,16 @@ def _compile_taint(
             if push:
                 v[_SP] = vaddr
             bank = ctx.bank
-            if not ctx.fetch_tainted or fetch() is None:
+            if fetch() is None:
                 if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                     dirty = ctx.dirty_pages
                     if not dirty:
-                        return 1
+                        return True
                     p0 = paddrs[0] >> shift
                     if p0 not in dirty:
                         p1 = paddrs[-1] >> shift
                         if p1 == p0 or p1 not in dirty:
-                            return 1
+                            return True
                 ctx.stats.slow_retirements += 1
             proc_tag = ctx.get_proc_tag()
             prov = bank.regs[src]
@@ -1304,15 +1058,7 @@ def _compile_taint(
                 prov = ctx.append(prov, proc_tag)
             ctx.shadow.set_bytes(paddrs, prov)
             _taint_epilogue(ctx)
-            if prov:
-                # Byte-precise invariant check: only a *tainting* write
-                # into the block's own fetch range breaks it (and such a
-                # write also bumps the code page's version, so the SMC
-                # check usually claims the exit first).
-                for paddr in paddrs:
-                    if paddr in block_fetch:
-                        return 2
-            return 1
+            return True
         return store
 
     # Register-only shapes: reuse the plain closure for the architectural
@@ -1323,7 +1069,7 @@ def _compile_taint(
     def fused(ctx) -> None:
         arch()
         bank = ctx.bank
-        if not ctx.fetch_tainted or fetch() is None:
+        if fetch() is None:
             if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                 return
             ctx.stats.slow_retirements += 1
@@ -1350,7 +1096,7 @@ def _compile_taint_term(insn: Instruction, fetch: Callable) -> Callable:
 
     def term_taint(ctx) -> None:
         bank = ctx.bank
-        if not ctx.fetch_tainted or fetch() is None:
+        if fetch() is None:
             if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                 return
             ctx.stats.slow_retirements += 1
@@ -1387,31 +1133,16 @@ class BlockTranslator:
         self.invalidations = 0
         self.chain_hits = 0
         self.lookups = 0
-        #: Instructions stepped outside a block: always 0, like
-        #: ``taint_single_steps``, since every instruction (page-straddling
-        #: ones included) runs in a block.  Both stay as gauges that the
-        #: end-to-end benchmark reads.
-        self.single_steps = 0
         # Translated-tainted tier counters (the "obs" gauges for the new
         # dispatch tier; see Machine._bind_metrics).
         self.taint_lookups = 0
         self.taint_executions = 0
+        #: Instructions stepped outside a block: always 0, since every
+        #: instruction (page-straddling ones included) runs in a block.
+        #: It stays as a gauge because the end-to-end benchmark reads it.
         self.taint_single_steps = 0
-        self.taint_dirty_exits = 0
-        # Byte-precise fetch-range probes (dirty fetch shadow pages only):
-        # how often the epoch cache answered, and how often a dirty page
-        # still let the block run fused because its own bytes were clean.
-        self.taint_range_checks = 0
-        self.taint_range_cache_hits = 0
-        self.taint_dirty_page_runs = 0
-        # Data-side write-set summaries (the per-block footprint cache):
-        # gate attempts on a dirty shadow, signature/epoch cache hits,
-        # and whole-block delegations to the plain closures.
-        self.taint_footprint_checks = 0
-        self.taint_footprint_cache_hits = 0
-        self.taint_footprint_delegations = 0
-        # Pure blocks over tainted fetch bytes that replayed a recorded
-        # counter delta instead of running their fused closures.
+        # Pure blocks that replayed a recorded counter delta instead of
+        # running their fused closures.
         self.taint_block_replays = 0
 
     # -- cache management --------------------------------------------------------
@@ -1568,24 +1299,15 @@ class BlockTranslator:
         Table I propagation against *ctx* (a
         :class:`~repro.taint.tracker.BlockTaintContext`).
 
-        Before each block (entry and chain alike) the dispatcher probes
-        whether its fetch **range** carries taint and tells the closures
-        through ``ctx.fetch_tainted``.  The probe is two-level: clean
-        fetch *shadow pages* (dict misses) pass outright; a dirty page
-        falls to :meth:`_fetch_clean`, which consults the per-block
-        epoch-cached byte-precise verdict -- so attack-shaped layouts
-        where code shares a 4 KiB shadow page with planted tainted data
-        (export tables, staged payloads) skip the fetch step.  A tainted
-        range -- a file-tagged image, or the possibly-injected code
-        FAROS exists to observe -- runs each closure's memoised fetch
-        step, which collects the bytes' provenance for the detection
+        Each block, entry and chain alike, runs one of two ways.  A pure
+        block on a clean bank, with no pending control window, no taint
+        budget and budget left for the whole block, replays its record
+        (:meth:`_replay`).  Every other block runs its fused closures
+        (:meth:`TranslatedBlock.execute_taint`), each of which decides
+        its own fetch bytes' cleanliness in its memoised fetch step: the
+        bytes of a file-tagged image, or of the possibly-injected code
+        FAROS exists to observe, yield their provenance to the detection
         listeners exactly as the interpreter's per-byte scan does.
-
-        With a clean bank and no pending control window, two kinds of
-        block run their plain closures instead of the fused ones: a
-        block whose fetch range and predicted data footprint are clean
-        (every retirement is fast), and a pure block over tainted fetch
-        bytes, which replays a recorded counter delta (:meth:`_replay`).
         """
         _load_taint_runtime()
         self.taint_lookups += 1
@@ -1593,64 +1315,28 @@ class BlockTranslator:
         memory = self._memory
         mmu_translate = cpu.mmu.translate
         code_version = memory.code_version
-        dirty = ctx.dirty_pages
         spent = 0
         while True:
             if block.taint_ctx is not ctx:
                 block.ensure_taint(ctx)
-            fetch_tainted = (
-                block.fetch_shadow_page in dirty or block.fetch_tail_page in dirty
-            ) and not self._fetch_clean(block, ctx)
-            ctx.fetch_tainted = fetch_tainted
             before = cpu.instret
             bank = ctx.bank
             left = budget - spent
-            if fetch_tainted:
-                # Test the block's own slot first: a block that cannot
-                # replay pays nothing for the check.
-                if (
-                    block.pure
-                    and left >= block.n_insns
-                    and ctx.budget_check is None
-                    and bank.tainted == 0
-                    and not bank.flags
-                    and ctx.tid not in ctx.pending
-                ):
-                    reason = self._replay(block, left, ctx)
-                else:
-                    reason = block.execute_taint(left, ctx)
-            elif (
-                dirty
+            # Test the block's own slot first: a block that cannot
+            # replay pays nothing for the check.
+            if (
+                block.pure
+                and left >= block.n_insns
+                and ctx.budget_check is None
                 and bank.tainted == 0
                 and not bank.flags
                 and ctx.tid not in ctx.pending
-                and self._data_clean(block, ctx)
             ):
-                # Whole-block delegation on a *dirty* shadow: the fetch
-                # range and the bank are clean, no control window is
-                # pending, and the block's predicted data footprint
-                # misses every dirty shadow page, so every per-closure
-                # gate would pass and no propagation could arise
-                # mid-block (plain stores cannot create taint).  Run the
-                # plain closures -- same SMC/fault/budget exactness --
-                # and account the whole block as fast retirements,
-                # exactly like the wholly-clean batch in
-                # :meth:`TranslatedBlock.execute_taint`.
-                self.taint_footprint_delegations += 1
-                stats = ctx.stats
-                try:
-                    reason = block.execute(left)
-                finally:
-                    retired = cpu.instret - before
-                    stats.instructions += retired
-                    stats.fast_retirements += retired
+                reason = self._replay(block, left, ctx)
             else:
                 reason = block.execute_taint(left, ctx)
             self.taint_executions += 1
             spent += cpu.instret - before
-            if reason == "dirty":
-                self.taint_dirty_exits += 1
-                return "fall"
             if spent >= budget or reason == "syscall" or reason == "halt" or reason == "smc":
                 return reason
             pc = cpu.pc
@@ -1675,8 +1361,8 @@ class BlockTranslator:
             block = nxt
 
     def _replay(self, block: TranslatedBlock, budget: int, ctx) -> str:
-        """Run a pure block over tainted fetch bytes whose fused run can
-        only move counters, by replaying those counters.
+        """Run a pure block whose fused run can only move counters, by
+        replaying those counters.
 
         Caller contract: the block is pure (no data memory), *budget*
         covers it terminator included, the bank is clean, no control
@@ -1696,7 +1382,9 @@ class BlockTranslator:
         ``interner.hits``, the slow count to ``slow_retirements`` and
         the rest of the block to ``fast_retirements``; the process tag
         is minted (the interpreter's first slow retirement mints it)
-        only when the record holds slow retirements.
+        only when the record holds slow retirements.  Over clean fetch
+        bytes the record is ``(epoch, 0, 0, None)``: every retirement
+        fast, no lookup, no tag minted.
         """
         cpu = block.cpu
         stats = ctx.stats
@@ -1733,73 +1421,6 @@ class BlockTranslator:
                 ctx.get_proc_tag() if slow else None,
             )
         return reason
-
-    def _fetch_clean(self, block: TranslatedBlock, ctx) -> bool:
-        """Byte-precise fetch-range verdict for a block on a dirty page.
-
-        Cached per block against the fetch pages' mutation epoch: while
-        their content hasn't changed, re-probing costs one integer
-        compare.  Any content change (set/clear/bulk op/page deletion)
-        bumps the epoch and forces one
-        :meth:`~repro.taint.shadow.ShadowMemory.range_clean` rescan per
-        fetch run.
-        """
-        self.taint_range_checks += 1
-        epoch = block.fetch_page_epoch(ctx.page_epochs)
-        if epoch == block.fetch_epoch:
-            self.taint_range_cache_hits += 1
-            clean = block.fetch_clean
-        else:
-            range_clean = ctx.shadow.range_clean
-            clean = all(range_clean(start, n) for start, n in block.fetch_runs)
-            block.fetch_epoch = epoch
-            block.fetch_clean = clean
-        if clean:
-            self.taint_dirty_page_runs += 1
-        return clean
-
-    def _data_clean(self, block: TranslatedBlock, ctx) -> bool:
-        """Data-footprint verdict: does this block's data write-set miss
-        every dirty shadow page?
-
-        The footprint is computed **once per block per (influence-register
-        signature, MMU mapping epoch)** -- the satellite of the per-access
-        probes fused into each closure.  A block whose access addresses
-        derive only from entry register values (the common case: frame
-        slots off SP, fields off a base pointer) re-uses its cached page
-        set for as long as those registers and the address-space mapping
-        (:attr:`~repro.guestos.addrspace.AddressSpace.epoch`; MMUs
-        without the attribute are treated as immutable) are unchanged --
-        one tuple compare instead of per-access translate-and-probe
-        work.  ``False`` is always safe: the per-closure gates simply
-        keep doing the byte-precise work.
-        """
-        self.taint_footprint_checks += 1
-        if not block.data_analyzed:
-            block._analyze_data()
-        if not block.data_cacheable:
-            return False
-        cpu = block.cpu
-        v = cpu.regs._values
-        sig = tuple(v[r] for r in block.data_influence)
-        epoch = getattr(cpu.mmu, "epoch", 0)
-        if sig == block.data_sig and epoch == block.data_epoch:
-            self.taint_footprint_cache_hits += 1
-            pages = block.data_pages
-        else:
-            pages = block._eval_data_footprint()
-            block.data_sig = sig
-            block.data_epoch = epoch
-            block.data_pages = pages
-        if pages is None:
-            # A translation faulted: the block will fault mid-execution;
-            # the per-closure path raises it at the precise instruction.
-            return False
-        dirty = ctx.dirty_pages
-        for page in pages:
-            if page in dirty:
-                return False
-        return True
 
     # -- introspection -----------------------------------------------------------
 
@@ -1840,17 +1461,9 @@ class BlockTranslator:
             "invalidations": self.invalidations,
             "chain_hits": self.chain_hits,
             "lookups": self.lookups,
-            "single_steps": self.single_steps,
             "taint_lookups": self.taint_lookups,
             "taint_executions": self.taint_executions,
             "taint_single_steps": self.taint_single_steps,
-            "taint_dirty_exits": self.taint_dirty_exits,
-            "taint_range_checks": self.taint_range_checks,
-            "taint_range_cache_hits": self.taint_range_cache_hits,
-            "taint_dirty_page_runs": self.taint_dirty_page_runs,
-            "taint_footprint_checks": self.taint_footprint_checks,
-            "taint_footprint_cache_hits": self.taint_footprint_cache_hits,
-            "taint_footprint_delegations": self.taint_footprint_delegations,
             "taint_block_replays": self.taint_block_replays,
             "cached_blocks": self.cached_blocks(),
         }

@@ -30,8 +30,9 @@ maps (§V-A).  Ours are:
   (:data:`SUMMARY_NETFLOW` / :data:`SUMMARY_PROCESS` /
   :data:`SUMMARY_FILE` / :data:`SUMMARY_EXPORT`), so the detector's
   confluence pre-check is a single mask test, plus per-page epoch
-  counters that let the block translator cache a byte-precise
-  "this block's fetch range is clean" verdict across dispatches.
+  counters that let the block translator memoise each instruction's
+  byte-precise fetch verdict, and each pure block's replay record,
+  across dispatches.
 
 * :class:`ShadowRegisters` -- one provenance list per architectural
   register, *per thread*, with a ``tainted`` count for the tracker's
@@ -200,8 +201,8 @@ class ShadowMemory:
         #: page number -> mutation epoch (absent = 0): bumped on every
         #: content change, page deletion included, never on representation
         #: changes -- so an unchanged epoch certifies any cached verdict
-        #: about the page's bytes (the block translator's fetch-range
-        #: verdicts, fetch memos and replay records).
+        #: about the page's bytes (the block translator's fetch memos and
+        #: replay records).
         self._epochs: Dict[int, int] = {}
         #: promotion back-off: page number -> retry once len(page) >= this.
         self._promote_retry: Dict[int, int] = {}
@@ -834,32 +835,6 @@ class ShadowMemory:
                 tags = page.tags
                 off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
                 if tags[off] or tags[off + 1] or tags[off + 2]:
-                    return False
-        return True
-
-    def range_clean(self, start: int, length: int) -> bool:
-        """Byte-precise cleanliness of a contiguous physical range."""
-        pages = self._pages
-        if not pages:
-            return True
-        for number, pos, page_end in self._chunks(start, length):
-            page = pages.get(number)
-            if page is None:
-                continue
-            if type(page) is dict:
-                if len(page) <= page_end - pos:
-                    for paddr in page:
-                        if pos <= paddr < page_end:
-                            return False
-                else:
-                    for paddr in range(pos, page_end):
-                        if paddr in page:
-                            return False
-            else:
-                tags = page.tags
-                base = number << SHADOW_PAGE_SHIFT
-                a3, b3 = (pos - base) * 3, (page_end - base) * 3
-                if tags.count(0, a3, b3) != b3 - a3:
                     return False
         return True
 

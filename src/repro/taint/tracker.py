@@ -547,10 +547,6 @@ class BlockTaintContext:
     append, the shadow page table for gate probes, the page-epoch table
     the fetch memos key on) rather than copies.
 
-    ``fetch_tainted`` is per *block*, not per slice: the dispatcher sets
-    it before each block from the byte-precise fetch-range probe, and
-    the closures run their memoised fetch step only when it is true.
-
     ``get_proc_tag`` is **lazy** on purpose: the interpreter mints the
     executing process' tag at the first slow-path instruction, and tag
     indices are assigned in mint order, so minting eagerly at slice
@@ -567,7 +563,6 @@ class BlockTaintContext:
         "shadow",
         "dirty_pages",
         "page_epochs",
-        "fetch_tainted",
         "pending",
         "stats",
         "interner",
@@ -587,14 +582,13 @@ class BlockTaintContext:
         self.tracker = tracker
         self.shadow = tracker.shadow
         #: The live shadow page table; ``number in dirty_pages`` is the
-        #: per-access/per-block cleanliness probe (decision-identical to
+        #: data-access cleanliness probe of the all-clean gate
+        #: (decision-identical to
         #: :meth:`~repro.taint.shadow.ShadowMemory.pages_clean`).
         self.dirty_pages = tracker.shadow._pages
         #: The live page-epoch table (``number -> epoch``, absent = 0;
         #: epochs only grow, bumped on every content change).
         self.page_epochs = tracker.shadow._epochs
-        #: Whether the block about to run has taint in its fetch range.
-        self.fetch_tainted = False
         self.pending = tracker._pending_control
         self.stats = tracker.stats
         self.interner = tracker.interner

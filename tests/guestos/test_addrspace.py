@@ -194,8 +194,8 @@ class TestQueries:
 
 class TestMappingEpoch:
     """Every mutation that can change a translation bumps ``epoch``,
-    so translation-result caches (the block translator's data-footprint
-    summaries) can key on it instead of hooking each operation."""
+    so translation-result caches can key on it instead of hooking each
+    operation."""
 
     def test_fresh_space_starts_at_zero(self, aspace):
         assert aspace.epoch == 0

@@ -247,7 +247,6 @@ class TestStraddlingInstructionPages:
             s_off.stop_reason,
         )
         assert m_on.kernel.console_log == m_off.kernel.console_log
-        assert m_on.translator.single_steps == 0
         return m_on, p_on
 
     def test_rewritten_second_page_retranslates(self):

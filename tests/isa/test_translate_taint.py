@@ -5,16 +5,18 @@ taint tier's local contracts on whole machines carrying a lone
 :class:`~repro.taint.tracker.TaintTracker` (the configuration whose
 ``insn_effects_plan`` reduces to the fused per-block closures):
 
-* armed-but-clean code keeps executing translated blocks (the per-block
-  fetch-shadow-page probe), with whole clean blocks delegated to the
-  plain closures and retiring everything fast;
-* cleanliness is byte-precise: blocks on shadow pages that are dirty
-  but whose *instruction bytes* are clean stay fused (taint planted
-  next to code -- the attack-shaped layout -- no longer evicts it),
-  and only a store that taints the fetch range itself exits the block
-  precisely (via the code-version bump, since tainting fetched bytes
-  means writing them); code whose own bytes carry taint runs fused
-  too, through the memoised fetch step;
+* armed-but-clean code keeps executing translated blocks and retires
+  everything fast: pure blocks replay a record with no slow
+  retirements, and every other block passes its per-closure gates;
+* each instruction's memoised fetch step decides its fetch cleanliness,
+  byte-precisely: code whose shadow page is dirty but whose own
+  *instruction bytes* are clean stays on the fast path (taint planted
+  next to code -- the attack-shaped layout -- does not slow it), code
+  whose own bytes carry taint runs fused through the fetch step, a
+  store that taints the fetch bytes ends its block precisely (via the
+  code-version bump, since tainting fetched bytes means writing them),
+  and code tainted or cleaned between slices without being written is
+  rescanned, because the provenance change bumps the memo's epoch;
 * every fused operand shape (moves, ALU, compares, loads/stores, stack
   traffic, calls) leaves bit-identical tracker state vs the
   instrumented interpreter;
@@ -88,24 +90,62 @@ parkpad: .space 8192
 """
 
 
-def run_one(body, seeds=(), policy=None, translate=True, budget=300_000, **config_kw):
+def run_one(
+    body,
+    seeds=(),
+    policy=None,
+    translate=True,
+    budget=300_000,
+    code_events=(),
+    load_log=None,
+    **config_kw,
+):
     """One machine, one fast tracker, optional taint seeding by label.
 
     Each seed is ``(label, n)`` (seeded with the NETFLOW :data:`SEED`)
     or ``(label, n, tag)`` for attack-shaped plants (export tags etc.).
+    Each code event is ``(tick, label, n, tag)``: a scheduled
+    :class:`_CodeTaintEvent` over *n* bytes at *label*.  A *load_log*
+    list receives every load observation as ``(machine.now, insn_prov)``.
     """
     machine = Machine(MachineConfig(translate=translate, **config_kw))
     tracker = TaintTracker(
         policy=policy or TaintPolicy(), interner=ProvInterner()
     )
     machine.plugins.register(tracker)
+    if load_log is not None:
+        tracker.add_load_listener(
+            lambda m, obs: load_log.append((m.now, obs.insn_prov))
+        )
     prog = register_asm(machine, "t.exe", body, PARK)
     proc = machine.kernel.spawn("t.exe")
+
+    def paddrs(label, n):
+        return proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
+
     for label, n, *rest in seeds:
-        paddrs = proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
-        tracker.taint_range(paddrs, rest[0] if rest else SEED)
+        tracker.taint_range(paddrs(label, n), rest[0] if rest else SEED)
+    for tick, label, n, tag in code_events:
+        machine.schedule(tick, _CodeTaintEvent(tracker, paddrs(label, n), tag))
     stats = machine.run(budget)
     return machine, tracker, stats
+
+
+class _CodeTaintEvent:
+    """A scheduled event that taints code bytes through the tracker's
+    channel API -- or clears them, with ``tag=None`` -- between slices
+    and without writing the code."""
+
+    def __init__(self, tracker, paddrs, tag):
+        self.tracker = tracker
+        self.paddrs = paddrs
+        self.tag = tag
+
+    def deliver(self, machine):
+        if self.tag is None:
+            self.tracker.clear_range(self.paddrs)
+        else:
+            self.tracker.taint_range(self.paddrs, self.tag)
 
 
 def assert_pair_identical(on, off):
@@ -117,13 +157,14 @@ def assert_pair_identical(on, off):
     assert tracker_on.shadow.snapshot() == tracker_off.shadow.snapshot()
     assert tracker_on.shadow.tainted_bytes == tracker_off.shadow.tainted_bytes
     assert tracker_on.banks.snapshot() == tracker_off.banks.snapshot()
-    assert tracker_on.stats.instructions == tracker_off.stats.instructions
-    assert tracker_on.stats.fast_retirements == tracker_off.stats.fast_retirements
-    assert tracker_on.stats.slow_retirements == tracker_off.stats.slow_retirements
+    # The whole record: the retirement split, process_tag_appends and
+    # the kernel-path counters.
+    assert tracker_on.stats == tracker_off.stats
     assert (tracker_on.interner.hits, tracker_on.interner.misses) == (
         tracker_off.interner.hits,
         tracker_off.interner.misses,
     )
+    assert tracker_on.tags.sizes() == tracker_off.tags.sizes()
 
 
 def run_pair(body, seeds=(), policy=None, budget=300_000, **config_kw):
@@ -160,13 +201,12 @@ class TestArmedButCleanStaysTranslated:
 
     def test_armed_but_clean_thread_retires_fast(self):
         """Taint exists (tracker armed) but this thread never touches
-        it: every retirement stays on the fast counter, clean blocks via
-        whole-block delegation and the rest via per-closure gates."""
+        it: every retirement stays on the fast counter, pure blocks via
+        replay records and the rest via per-closure gates."""
         machine, tracker, _ = run_one(ARMED_CLEAN, seeds=[("far", 4)])
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
         assert ts["taint_single_steps"] == 0
-        assert ts["taint_dirty_exits"] == 0
         assert tracker.stats.slow_retirements == 0
         assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
         assert tracker.shadow.tainted_bytes == 4  # just the far seed
@@ -178,7 +218,6 @@ class TestArmedButCleanStaysTranslated:
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
         assert ts["taint_single_steps"] == 0
-        assert ts["taint_dirty_exits"] == 0
         assert tracker.shadow.tainted_bytes > 4  # src + dst carry taint
         assert tracker.stats.slow_retirements > 0  # the copies went slow-path
 
@@ -188,11 +227,10 @@ class TestArmedButCleanStaysTranslated:
 
 
 #: The store lands one guest page past the code (no code-page version
-#: bump, so not SMC) but inside the code's 4 KiB shadow page.  Under the
-#: byte-precise cleanliness rule this is the PR 6 headroom case: the
-#: shadow page goes dirty, yet the block's *fetch bytes* stay clean, so
-#: every later loop iteration re-probes the range and keeps skipping
-#: the fetch step.
+#: bump, so not SMC) but inside the code's 4 KiB shadow page.  The
+#: shadow page goes dirty, yet the block's *fetch bytes* stay clean:
+#: each fetch step rescans its bytes once per epoch and finds them
+#: clean.
 DIRTY_OWN_PAGE = """
 start:
     movi r5, 8
@@ -257,22 +295,14 @@ src: .word 9
 class TestByteGranularCleanliness:
     def test_store_beside_fetch_range_stays_fused(self):
         (machine, tracker, _), _ = run_pair(DIRTY_OWN_PAGE, seeds=[("src", 4)])
-        ts = taint_stats(machine)
-        assert ts["taint_dirty_exits"] == 0
-        assert ts["taint_single_steps"] == 0
-        # Later iterations re-enter the block with its shadow page in
-        # the dirty set; the byte-precise probe keeps them fused.
-        assert ts["taint_dirty_page_runs"] > 0
+        assert taint_stats(machine)["taint_single_steps"] == 0
         assert tracker.shadow.tainted_bytes > 4  # src + near carry taint
 
     def test_planted_export_tags_beside_code_stay_fused(self):
         (machine, tracker, _), _ = run_pair(
             EXPORT_NEIGHBOR, seeds=[("src", 4), ("planted", 16, EXPORT_TAG)]
         )
-        ts = taint_stats(machine)
-        assert ts["taint_single_steps"] == 0
-        assert ts["taint_dirty_exits"] == 0
-        assert ts["taint_dirty_page_runs"] > 0
+        assert taint_stats(machine)["taint_single_steps"] == 0
         # The plant itself is untouched provenance, not collateral.
         assert tracker.shadow.tainted_bytes >= 16 + 4
 
@@ -289,20 +319,25 @@ class TestByteGranularCleanliness:
         (machine, tracker, _), (machine_off, _, _) = run_pair(
             PATCH_FETCH, seeds=[("src", 4)]
         )
-        ts = taint_stats(machine)
         # Tainting fetched bytes means writing them, so the code-version
-        # bump (SMC) claims the exit; the dirty-exit counter stays idle.
-        assert ts["taint_dirty_exits"] == 0
+        # bump (SMC) ends the block at the store.
         assert machine.translator.invalidations >= 1
         # The patched, now-tainted instruction ran fused...
-        assert ts["taint_single_steps"] == 0
+        assert taint_stats(machine)["taint_single_steps"] == 0
         # ...and executed the NEW bytes on both tiers.
         assert machine.cpu.regs.read(Reg.R5) == 9
         assert machine_off.cpu.regs.read(Reg.R5) == 9
 
     def test_clean_store_does_not_exit(self):
-        (machine, _, _), _ = run_pair(TAINTED_LOOP, seeds=[("src", 4)])
-        assert taint_stats(machine)["taint_dirty_exits"] == 0
+        # A tainting store beside the code retires inside its block:
+        # with no slice cut, the loop block runs whole on every entry.
+        (machine, _, _), _ = run_pair(
+            TAINTED_LOOP, seeds=[("src", 4)], quantum=10_000
+        )
+        (loop,) = [
+            b for b in machine.translator.blocks() if not b.pure and b.exec_count > 1
+        ]
+        assert loop.retired == loop.exec_count * loop.n_insns
 
 
 SHAPE_PROGRAMS = {
@@ -463,9 +498,8 @@ class TestTickExactnessInsideTaintedBlocks:
 
 
 #: Pointer-chase loop: the second load's address comes out of the first
-#: load, so the block's data footprint cannot be predicted from entry
-#: registers -- the write-set summary must refuse to cache it and leave
-#: the per-closure probes in charge.
+#: load, so only a per-access probe can place it -- the per-closure
+#: gates decide, with the shadow dirty elsewhere.
 POINTER_CHASE = """
 start:
     movi r5, 8
@@ -487,58 +521,58 @@ far: .word 0
 farpad3: .space 8192
 """
 
+#: The armed-but-clean copy loop with its counter arithmetic in a pure
+#: block of its own.
+ARMED_CLEAN_SPLIT = """
+start:
+    movi r5, 40
+loop:
+    movi r6, src
+    ld r1, [r6]
+    movi r6, dst
+    st [r6], r1
+    jmp count
+count:
+    addi r2, r1, 1
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    jmp park
+pad: .space 8192
+src: .word 0xfeedface
+dst: .word 0
+parkpad: .space 8192
+far: .word 0
+farpad2: .space 8192
+"""
+
 
 class TestDataFootprintCache:
-    """The PR 7 headroom satellite: per-block write-set summaries.
+    """Armed-but-clean runs: the bank is clean and the shadow is dirty
+    *somewhere else*.
 
-    When the bank is clean and the shadow is dirty *somewhere else*,
-    the dispatcher predicts each block's data footprint once (cached by
-    influence-register signature and MMU mapping epoch) and, on a miss
-    against the dirty-page index, delegates the whole block to the
-    plain closures instead of paying a per-access probe in every fused
-    closure.
+    Named for the per-block data-footprint summary that once delegated
+    such blocks whole to the plain closures.  Now a pure block replays
+    a record with no slow retirements (a replay, too, runs the plain
+    closures), and every other block's data accesses meet the
+    per-closure gates, which also place addresses that come out of
+    loads.
     """
 
     def test_armed_but_clean_loop_delegates_whole_blocks(self):
-        machine, tracker, _ = run_one(ARMED_CLEAN, seeds=[("far", 4)])
-        ts = taint_stats(machine)
-        assert ts["taint_footprint_checks"] > 0
-        assert ts["taint_footprint_delegations"] > 0
-        # The loop's addresses all come from MOVI-fed registers: the
-        # influence signature is empty, so after the first evaluation
-        # every later iteration is a pure cache hit.
-        assert ts["taint_footprint_cache_hits"] > 0
+        machine, tracker, _ = run_one(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
+        assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.slow_retirements == 0
         assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
 
     def test_delegated_run_matches_interpreter(self):
-        (machine, tracker, _), _ = run_pair(ARMED_CLEAN, seeds=[("far", 4)])
-        assert taint_stats(machine)["taint_footprint_delegations"] > 0
+        (machine, tracker, _), _ = run_pair(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
+        assert taint_stats(machine)["taint_block_replays"] > 0
+        assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
         assert tracker.shadow.tainted_bytes == 4
-
-    def test_loaded_address_makes_block_uncacheable(self):
-        machine, tracker, _ = run_one(POINTER_CHASE, seeds=[("far", 4)])
-        ts = taint_stats(machine)
-        assert ts["taint_footprint_checks"] > 0
-        # The chase loop's block is refused; only the straight-line
-        # prologue/terminator blocks (if any) may delegate, and the
-        # uncacheable block keeps retiring through per-closure gates.
-        blocks = machine.translator.blocks()
-        analyzed = [b for b in blocks if b.data_analyzed]
-        assert analyzed, "the gate must have analyzed at least one block"
-        assert any(not b.data_cacheable for b in analyzed)
-        assert tracker.stats.slow_retirements == 0  # everything still clean
 
     def test_uncacheable_run_matches_interpreter(self):
         run_pair(POINTER_CHASE, seeds=[("far", 4)])
-
-    def test_tainted_bank_never_consults_the_footprint(self):
-        """Once provenance reaches a register the summary is irrelevant:
-        propagation needs the per-closure slow arms."""
-        machine, tracker, _ = run_one(TAINTED_LOOP, seeds=[("src", 4)])
-        ts = taint_stats(machine)
-        assert ts["taint_footprint_delegations"] == 0
-        assert tracker.stats.slow_retirements > 0
 
 
 #: A pure loop (no data memory) for the block-replay tests.  Its blocks
@@ -726,6 +760,57 @@ def drive_pair(body, phases, policy=None):
     return legs[True], legs[False]
 
 
+#: ``PURE_LOOP`` plus a seedable word on its own shadow page: seeding it
+#: arms the tracker while the loop's code stays clean.
+PURE_ARMED = PURE_LOOP + """
+pad: .space 8192
+far: .word 0
+farpad: .space 8192
+"""
+
+
+def observed_pair(body, seeds=(), code_events=()):
+    """:func:`run_pair` that also holds every load observation identical;
+    returns the translated leg and its load log."""
+    logs = ([], [])
+    on, off = (
+        run_one(body, seeds, translate=translate, code_events=code_events, load_log=log)
+        for translate, log in zip((True, False), logs)
+    )
+    assert_pair_identical(on, off)
+    assert logs[0] == logs[1]
+    return on, logs[0]
+
+
+class TestFetchStepDecidesCleanliness:
+    """Every fused closure runs its memoised fetch step, and that memo
+    alone decides whether the instruction's fetch bytes are clean."""
+
+    def test_clean_fetch_pure_blocks_replay(self):
+        (machine, tracker, _), _ = observed_pair(PURE_ARMED, seeds=[("far", 4)])
+        assert taint_stats(machine)["taint_block_replays"] > 0
+        assert tracker.stats.slow_retirements == 0
+        assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
+
+    @pytest.mark.parametrize(
+        "body, seed, loop_bytes",
+        [(PURE_ARMED, "far", 48), (TAINTED_LOOP, "src", 64)],
+        ids=["pure_loop", "tainted_loop"],
+    )
+    def test_code_tainted_between_slices_is_rescanned(self, body, seed, loop_bytes):
+        # The loop runs over clean code, its instruction bytes are then
+        # tagged by a channel event (no code write, so no SMC), and later
+        # cleaned again: every fetch memo must see both epoch changes.
+        events = [(151, "loop", loop_bytes, CODE_TAG), (251, "loop", loop_bytes, None)]
+        (machine, tracker, _), log = observed_pair(body, [(seed, 4)], events)
+        assert tracker.stats.process_tag_appends > 0
+        assert tracker.shadow.snapshot()
+        if body is PURE_ARMED:
+            assert taint_stats(machine)["taint_block_replays"] > 0
+        else:
+            assert any(CODE_TAG in prov for _, prov in log)
+
+
 class TestStraddlingInstructionsFused:
     """The taint tier on the straddle programs of ``test_translate_smc``,
     over file-tagged code, against ``translate=False``."""
@@ -792,8 +877,8 @@ class TestStraddleAcrossShadowPages:
     def test_fetch_probe_memo_and_replay_cover_both_shadow_pages(self):
         """Each instruction's second frame starts a new shadow page.
         Only those tails are tagged, then re-tagged one at a time: the
-        block probe, the fetch memo and the replay record must all
-        watch the tail's shadow page, not just the first byte's."""
+        fetch memo and the replay record must both watch the tail's
+        shadow page, not just the first byte's."""
         probe = assemble(SPLIT_STRADDLES.replace("{pad}", "0")).label("strad")
         prog = assemble(
             SPLIT_STRADDLES.replace("{pad}", str((PAGE_SIZE - 4 - probe) % PAGE_SIZE))

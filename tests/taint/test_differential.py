@@ -759,7 +759,7 @@ def check_representation_sequence(ops):
         for shadow in shadows.values():
             assert shadow.get(paddr) == ref.get(paddr)
             assert not shadow.pages_clean((paddr,))
-            assert not shadow.range_clean(paddr, 1)
+            assert not shadow.bytes_clean((paddr,))
 
 
 class TestShadowRepresentationMatrix:
