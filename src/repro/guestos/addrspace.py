@@ -93,12 +93,6 @@ class AddressSpace:
         self._allocator = allocator
         self._pages: Dict[int, _PageEntry] = {}
         self.areas: List[VirtualArea] = []
-        #: Mapping-mutation counter: bumped by every operation that can
-        #: change what :meth:`translate` returns (map/unmap/protect/
-        #: teardown), so a cache of translation *results* can key on it
-        #: and a remap invalidates it without any per-translate
-        #: bookkeeping.  No such cache exists in the package today.
-        self.epoch = 0
 
     # -- MMU protocol -------------------------------------------------------------
 
@@ -127,7 +121,6 @@ class AddressSpace:
             self._pages[(vaddr >> PAGE_SHIFT) + i] = _PageEntry(frame, perms, owned=True)
         area = VirtualArea(vaddr, n_pages * PAGE_SIZE, perms, name)
         self._insert_area(area)
-        self.epoch += 1
         return area
 
     def map_shared(
@@ -141,7 +134,6 @@ class AddressSpace:
             vaddr, len(frames) * PAGE_SIZE, perms, name, private=False, module=module
         )
         self._insert_area(area)
-        self.epoch += 1
         return area
 
     def unmap_region(self, vaddr: int) -> VirtualArea:
@@ -158,7 +150,6 @@ class AddressSpace:
             if entry.owned:
                 self._allocator.free(entry.frame)
         self.areas.remove(area)
-        self.epoch += 1
         return area
 
     def protect_region(self, vaddr: int, size: int, perms: int) -> None:
@@ -181,7 +172,6 @@ class AddressSpace:
         for area in self.areas:
             if area.start < (last + 1) << PAGE_SHIFT and area.end > vaddr:
                 area.perms |= perms
-        self.epoch += 1
 
     def release_all(self) -> None:
         """Free every owned frame (process teardown)."""
@@ -190,7 +180,6 @@ class AddressSpace:
                 self._allocator.free(entry.frame)
         self._pages.clear()
         self.areas.clear()
-        self.epoch += 1
 
     # -- queries ----------------------------------------------------------------------
 

@@ -48,6 +48,15 @@ instruction-at-a-time execution.  Guest faults restore ``pc`` and
 ``instret`` to the faulting instruction before propagating.  See
 ``docs/block_translation.md``.
 
+**Self-loops.**  Direct jumps chain, each hop revalidated.  The one
+chain that needs no revalidation is a *self-loop*: a pure block (no
+data memory), not page-straddling, whose direct ``JMP``/``Jcc``
+targets its own start -- a compute loop such as ``muli/addi/subi/
+cmpi/jnz``.  Such a block runs as many whole iterations in place as
+the budget covers (:meth:`TranslatedBlock.iterate` gives the exactness
+argument); a remainder smaller than one iteration runs through the
+dispatcher as before.
+
 **The translated-tainted tier.**  Once taint exists, the machine used to
 drop to the per-instruction interpreter.  :meth:`BlockTranslator.run_taint`
 instead executes the same cached blocks, each one of two ways:
@@ -56,7 +65,8 @@ instead executes the same cached blocks, each one of two ways:
   bank, with no pending control window, no taint budget and budget
   left for the whole block, runs its plain closures and replays the
   counter delta a fused run of it recorded
-  (:meth:`BlockTranslator._replay`);
+  (:meth:`BlockTranslator._replay`); a self-loop replays it once per
+  iteration it runs in place;
 * **fused** -- every other block runs its *fused taint closures*
   (:func:`_compile_taint`).  Each closure does the instruction's
   architectural work, then its fetch step, then the tracker's
@@ -184,6 +194,7 @@ class TranslatedBlock:
         "kind",
         "term",
         "pure",
+        "self_loop",
         "chain",
         "exec_count",
         "retired",
@@ -226,6 +237,15 @@ class TranslatedBlock:
         # A block with no memory operations can neither fault nor modify
         # code, so it runs on an unindexed loop when the budget allows.
         self.pure = not any(getattr(fn, "is_mem", False) for fn in body)
+        #: A pure, single-page block whose direct branch targets its own
+        #: start: it iterates in place (:meth:`iterate`).
+        self.self_loop = (
+            self.pure
+            and tail is None
+            and term_insn is not None
+            and (term_insn.op is Op.JMP or term_insn.op in COND_BRANCH_OPS)
+            and term_insn.imm & MASK32 == start_pc
+        )
         self.chain: Dict[int, "TranslatedBlock"] = {}
         self.exec_count = 0
         self.retired = 0
@@ -334,6 +354,48 @@ class TranslatedBlock:
         self.exec_count += 1
         self.retired += i
         return "fall"
+
+    def iterate(self, budget: int) -> int:
+        """Run whole iterations of a self-loop in place; return how many.
+
+        Iterates while *budget* covers another whole iteration and the
+        branch is taken, each iteration being the body closures plus
+        ``term()``, with no lookup, chain probe or MMU translation in
+        between.  On return ``cpu.pc`` is the loop head (budget spent)
+        or the fall-through pc, and ``exec_count``/``retired`` have
+        advanced per iteration, as if each had been dispatched.
+
+        Exact because nothing a dispatcher would check between two
+        iterations can change inside the loop:
+
+        * a pure block makes no store, so it cannot write a code page
+          (no SMC) or bump a shadow epoch, and it cannot fault;
+        * it makes no syscall, so no remap happens, and events are
+          delivered only between slices;
+        * so the FETCH translation, the code version and the block
+          looked up for the loop head would all be this block again.
+
+        Caller contract: ``self_loop`` holds, ``cpu.pc`` is
+        ``start_pc`` and *budget* covers at least one iteration.
+        """
+        body = self.body
+        term = self.term
+        start = self.start_pc
+        n = self.n_insns
+        limit = budget // n
+        k = 0
+        pc = start
+        while pc == start and k < limit:
+            for fn in body:
+                fn()
+            pc = term()
+            k += 1
+        cpu = self.cpu
+        cpu.pc = pc
+        cpu.instret += k * n
+        self.exec_count += k
+        self.retired += k * n
+        return k
 
     # -- the translated-tainted tier ---------------------------------------------
 
@@ -1253,10 +1315,13 @@ class BlockTranslator:
 
         Chains through directly-reachable blocks until the budget runs
         out or execution hits a syscall, halt, or self-modifying store.
-        Returns the final stop reason (``"syscall"``, ``"halt"``,
-        ``"smc"``, ``"jump"``, or ``"fall"``); the retirement count is
-        observable as the change in ``cpu.instret``.  Guest faults
-        propagate with precise state.
+        A self-loop runs as many whole iterations in place as the budget
+        covers (:meth:`TranslatedBlock.iterate`); each counts as one
+        execution, and each after the first as the chain hit the
+        dispatcher would have taken.  Returns the final stop reason
+        (``"syscall"``, ``"halt"``, ``"smc"``, ``"jump"``, or
+        ``"fall"``); the retirement count is observable as the change in
+        ``cpu.instret``.  Guest faults propagate with precise state.
         """
         self.lookups += 1
         block = self.lookup(cpu)
@@ -1266,8 +1331,15 @@ class BlockTranslator:
         spent = 0
         while True:
             before = cpu.instret
-            reason = block.execute(budget - spent)
-            self.executions += 1
+            left = budget - spent
+            if block.self_loop and left >= block.n_insns:
+                k = block.iterate(left)
+                self.executions += k
+                self.chain_hits += k - 1
+                reason = "jump"
+            else:
+                reason = block.execute(left)
+                self.executions += 1
             spent += cpu.instret - before
             if spent >= budget or reason == "syscall" or reason == "halt" or reason == "smc":
                 return reason
@@ -1302,7 +1374,8 @@ class BlockTranslator:
         Each block, entry and chain alike, runs one of two ways.  A pure
         block on a clean bank, with no pending control window, no taint
         budget and budget left for the whole block, replays its record
-        (:meth:`_replay`).  Every other block runs its fused closures
+        (:meth:`_replay`) -- a self-loop once per iteration it runs in
+        place.  Every other block runs its fused closures
         (:meth:`TranslatedBlock.execute_taint`), each of which decides
         its own fetch bytes' cleanliness in its memoised fetch step: the
         bytes of a file-tagged image, or of the possibly-injected code
@@ -1385,6 +1458,15 @@ class BlockTranslator:
         only when the record holds slow retirements.  Over clean fetch
         bytes the record is ``(epoch, 0, 0, None)``: every retirement
         fast, no lookup, no tag minted.
+
+        A self-loop replays its record once per iteration it runs in
+        place (:meth:`TranslatedBlock.iterate`): k iterations add
+        ``k * lookups`` hits and ``k * slow`` slow retirements.  The
+        replay preconditions hold on every iteration: the plain closures
+        touch neither the bank, the control window nor the shadow, and
+        the slice, hence the process tag, stays the same.  Each
+        iteration counts as one replay and one execution, each after
+        the first as a chain hit.
         """
         cpu = block.cpu
         stats = ctx.stats
@@ -1396,14 +1478,22 @@ class BlockTranslator:
             _, slow, lookups, tag = record
             proc_tag = ctx.get_proc_tag() if slow else None
             if proc_tag is tag or proc_tag == tag:
-                self.taint_block_replays += 1
                 before = cpu.instret
-                reason = block.execute(budget)
+                if block.self_loop:
+                    k = block.iterate(budget)
+                    reason = "jump"
+                    # run_taint counts the first execution.
+                    self.taint_executions += k - 1
+                    self.chain_hits += k - 1
+                else:
+                    k = 1
+                    reason = block.execute(budget)
+                self.taint_block_replays += k
                 retired = cpu.instret - before
                 stats.instructions += retired
-                stats.slow_retirements += slow
-                stats.fast_retirements += retired - slow
-                interner.hits += lookups
+                stats.slow_retirements += k * slow
+                stats.fast_retirements += retired - k * slow
+                interner.hits += k * lookups
                 return reason
         slow0 = stats.slow_retirements
         lookups0 = interner.hits + interner.misses

@@ -191,42 +191,3 @@ class TestQueries:
         paddrs = aspace.translate_range(0x1000 + PAGE_SIZE - 2, 4, AccessKind.READ)
         assert len(paddrs) == 4
 
-
-class TestMappingEpoch:
-    """Every mutation that can change a translation bumps ``epoch``,
-    so translation-result caches can key on it instead of hooking each
-    operation."""
-
-    def test_fresh_space_starts_at_zero(self, aspace):
-        assert aspace.epoch == 0
-
-    def test_every_mutator_bumps(self, allocator, aspace):
-        aspace.map_region(0x1000, PAGE_SIZE, PERM_RW, "a")
-        assert aspace.epoch == 1
-        frames = [allocator.alloc()]
-        aspace.map_shared(0x2000, frames, PERM_RX, "b", module="mod")
-        assert aspace.epoch == 2
-        aspace.protect_region(0x1000, PAGE_SIZE, PERM_RWX)
-        assert aspace.epoch == 3
-        aspace.unmap_region(0x1000)
-        assert aspace.epoch == 4
-        aspace.release_all()
-        assert aspace.epoch == 5
-
-    def test_failed_operations_do_not_bump(self, aspace):
-        aspace.map_region(0x1000, PAGE_SIZE, PERM_RW, "a")
-        before = aspace.epoch
-        with pytest.raises(ValueError):
-            aspace.map_region(0x1000, PAGE_SIZE, PERM_RW, "overlap")
-        with pytest.raises(PageFault):
-            aspace.protect_region(0x900000, PAGE_SIZE, PERM_R)
-        with pytest.raises(PageFault):
-            aspace.unmap_region(0x900000)
-        assert aspace.epoch == before
-
-    def test_translate_does_not_bump(self, aspace):
-        aspace.map_region(0x1000, PAGE_SIZE, PERM_RW, "a")
-        before = aspace.epoch
-        aspace.translate(0x1004, AccessKind.READ)
-        aspace.translate_range(0x1000, 8, AccessKind.READ)
-        assert aspace.epoch == before

@@ -2,13 +2,16 @@
 
 The differential attack-level suites live in ``test_translate_diff.py``
 and ``test_translate_smc.py``; this file pins the translator's local
-contracts -- block shapes, cache reuse, chaining, budget exactness,
-precise faults, and the single-step escape hatch for page-straddling
-instructions.
+contracts -- block shapes, cache reuse, chaining, self-loops iterating
+in place, budget exactness, precise faults, and page-straddling
+instructions in blocks of their own.
 """
 
 import pytest
 
+from repro.emulator.machine import Machine, MachineConfig
+from repro.emulator.record_replay import Scenario
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU, AccessKind, FlatMMU, cached_decode, decode_cache_info
 from repro.isa.errors import InvalidInstruction, PageFault
@@ -17,6 +20,7 @@ from repro.isa.memory import PAGE_SIZE, PhysicalMemory
 from repro.isa.registers import Reg
 from repro.isa.translate import BlockTranslator
 
+from tests.conftest import spawn_asm
 from tests.isa.test_cpu import MEM_SIZE, make_cpu
 from tests.isa.test_fast_path import PROGRAMS
 
@@ -204,6 +208,157 @@ class TestPreciseFaults:
                 tr.run(cpu, 100)
         assert (cpu.pc, cpu.instret) == (ref.pc, ref.instret)
         assert cpu.regs.snapshot() == ref.regs.snapshot()
+
+
+#: A 6-instruction pure self-loop (head at pc 8) behind a one-instruction
+#: entry; the entry block runs the first iteration itself.
+SELF_LOOP = """
+    movi r5, 40
+loop:
+    addi r1, r1, 3
+    muli r2, r1, 5
+    xor r3, r1, r2
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    hlt
+"""
+SELF_LOOP_HEAD = INSTRUCTION_SIZE
+SELF_LOOP_SIZE = 6
+
+
+def assert_executions_add_up(tr):
+    """Each dispatched execution -- an in-place iteration included --
+    counts once in ``executions`` and once in its block's
+    ``exec_count``."""
+    assert tr.executions == sum(b.exec_count for b in tr.blocks())
+
+
+class TestSelfLoops:
+    def test_self_loop_is_recognised(self):
+        cpu, tr = make_translated(SELF_LOOP)
+        cpu.pc = SELF_LOOP_HEAD
+        block = tr.lookup(cpu)
+        assert block.self_loop
+        assert block.n_insns == SELF_LOOP_SIZE
+        cpu.pc = 0
+        # The entry block jumps to the loop head, not to its own start.
+        assert not tr.lookup(cpu).self_loop
+
+    @pytest.mark.parametrize(
+        "source, base",
+        [
+            ("loop: movi r6, 0x500\nld r1, [r6+0]\njmp loop", 0),
+            ("loop: call loop", 0),
+            ("loop: movi r1, 0\njmpr r1", 0),
+            (SELF_LOOP, 0),
+            # One `jmp` to itself across a page boundary.
+            ("loop: jmp loop", PAGE_SIZE - 4),
+        ],
+        ids=["impure", "call", "indirect", "targets-another-block", "straddling"],
+    )
+    def test_other_loops_are_not_self_loops(self, source, base):
+        cpu, tr = make_translated(source, base=base)
+        block = tr.lookup(cpu)
+        assert block.kind == "jump"
+        assert not block.self_loop
+
+    def test_accounting_matches_one_dispatch_per_iteration(self):
+        cpu, tr = make_translated(SELF_LOOP)
+        tr.run(cpu, 100_000)
+        assert cpu.halted
+        loop = next(b for b in tr.blocks() if b.start_pc == SELF_LOOP_HEAD)
+        # 40 trips: the entry block runs the first, the loop block the
+        # other 39 in place, each counted as its own execution and
+        # each after the first as a chain hit.
+        assert loop.exec_count == 39
+        assert loop.retired == 39 * SELF_LOOP_SIZE
+        assert tr.executions == 1 + 39 + 1
+        assert tr.chain_hits == 38
+        assert tr.lookups == 3  # entry, loop head, halt
+        assert_executions_add_up(tr)
+        assert sum(retired for _pc, retired, _x in tr.top_blocks()) == cpu.instret
+
+    @pytest.mark.parametrize("budget", [5, 7, 11, 13, 25])
+    def test_budget_cuts_at_every_offset(self, budget):
+        # Budgets coprime to the loop's 6 instructions cut it at every
+        # offset in turn; the in-place iterations must leave exactly the
+        # interpreter's state at each cut.
+        ref = make_cpu(SELF_LOOP)
+        cpu, tr = make_translated(SELF_LOOP)
+        offsets = set()
+        while not cpu.halted:
+            before = cpu.instret
+            tr.run(cpu, budget)
+            assert cpu.instret - before <= budget
+            while ref.instret < cpu.instret:
+                ref.step_fast()
+            assert (cpu.pc, cpu.instret) == (ref.pc, ref.instret)
+            assert cpu.regs.snapshot() == ref.regs.snapshot()
+            assert (cpu.flag_z, cpu.flag_n) == (ref.flag_z, ref.flag_n)
+            offset = (cpu.pc - SELF_LOOP_HEAD) // INSTRUCTION_SIZE
+            if 0 <= offset < SELF_LOOP_SIZE:
+                offsets.add(offset)
+        assert ref.halted
+        assert offsets == set(range(SELF_LOOP_SIZE))
+        assert_executions_add_up(tr)
+
+    def test_jmp_to_self_trips_instruction_budget_at_identical_tick(self):
+        runs = {}
+        for translate in (True, False):
+            machine = Machine(
+                MachineConfig(translate=translate, instruction_budget=12_345)
+            )
+            spawn_asm(machine, "spin.exe", "start:\n    jmp start")
+            runs[translate] = (machine, machine.run(100_000))
+        (m_on, on), (m_off, off) = runs[True], runs[False]
+        assert on.stop_reason == "fault" == off.stop_reason
+        assert on.fault.kind == "WatchdogExpired"
+        assert on.fault.to_json_dict() == off.fault.to_json_dict()
+        assert m_on.now == m_off.now
+        spin = [b for b in m_on.translator.blocks() if b.self_loop]
+        assert len(spin) == 1 and spin[0].n_insns == 1
+        assert m_on.translator.chain_hits > 12_000
+
+    @pytest.mark.parametrize("at", [1_234, 5_001])
+    def test_fault_plan_trigger_mid_loop_fires_at_identical_retirement(self, at):
+        source = SELF_LOOP.replace("movi r5, 40", "movi r5, 10000")
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    trigger="instret",
+                    at=at,
+                    action="fault",
+                    fault_kind="DeviceFault",
+                    detail="self-loop probe",
+                ),
+            )
+        )
+        runs = {}
+        for translate in (True, False):
+            scenario = plan.apply(
+                Scenario(
+                    "self-loop",
+                    lambda m: spawn_asm(m, "loop.exe", "start:" + source),
+                    config=MachineConfig(translate=translate),
+                    max_instructions=200_000,
+                )
+            )
+            machine = scenario.build()
+            runs[translate] = (machine, machine.run(scenario.max_instructions))
+        (m_on, on), (m_off, off) = runs[True], runs[False]
+        assert on.stop_reason == "fault" == off.stop_reason
+        assert on.fault.to_json_dict() == off.fault.to_json_dict()
+        assert m_on.now == m_off.now
+        assert [(t, repr(e)) for t, e in m_on.journal] == [
+            (t, repr(e)) for t, e in m_off.journal
+        ]
+        contexts_on, contexts_off = (
+            [p.main_thread.context for p in m.kernel.processes.values()]
+            for m in (m_on, m_off)
+        )
+        assert contexts_on == contexts_off
+        assert any(b.self_loop and b.exec_count for b in m_on.translator.blocks())
 
 
 class TestPageStraddlingCode:

@@ -23,7 +23,8 @@ taint tier's local contracts on whole machines carrying a lone
 * watchdogs, scheduled fault events, and taint budgets fire at the
   identical tick inside tainted blocks;
 * pure blocks over file-tagged code replay a recorded counter delta,
-  and every condition that must stop a replay does (a budget cut, a
+  a self-loop once per iteration it runs in place, and every condition
+  that must stop a replay does (a budget cut, a
   taint budget, another process's tag, a pending control window, a
   second tracker);
 * page-straddling instructions run fused in blocks of their own, and
@@ -605,6 +606,27 @@ class TestBlockReplay:
         (machine, tracker, _), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
         assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.slow_retirements > 0
+
+    @pytest.mark.parametrize("tags_on_access", [False, True])
+    def test_self_loop_replays_once_per_iteration(self, tags_on_access):
+        # One slice holds the whole loop.  The entry block runs the
+        # first of 60 trips and tags the loop's bytes; the loop block's
+        # first run is fused and records, and the other 58 replay in
+        # place, each counted as a replay, an execution and (after the
+        # first) a chain hit.
+        policy = TaintPolicy(process_tags_on_access=tags_on_access)
+        (machine, tracker, _), _ = run_pair(
+            PURE_LOOP, seeds=[CODE], policy=policy, quantum=10_000
+        )
+        translator = machine.translator
+        (loop,) = [b for b in translator.blocks() if b.self_loop]
+        assert loop.exec_count == 59
+        assert translator.taint_block_replays == 58
+        assert translator.chain_hits == 57
+        assert translator.taint_executions == sum(
+            b.exec_count for b in translator.blocks()
+        )
+        assert tracker.stats.slow_retirements >= 59 * loop.n_insns
 
     @pytest.mark.parametrize("quantum", [2, 3, 4, 7])
     def test_budget_cuts_inside_replayable_blocks(self, quantum):

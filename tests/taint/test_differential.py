@@ -218,6 +218,23 @@ def assert_equivalent(fast, ref, fast_obs=None, ref_obs=None):
         assert tainted_observations(fast_obs) == tainted_observations(ref_obs)
 
 
+#: Op kinds that touch registers only.
+REGISTER_KINDS = ["alu", "alui", "mov", "movi"]
+
+
+def register_op(draw, kind, rd, rs1, rs2):
+    """One ``REGISTER_KINDS`` instruction over the given registers."""
+    if kind == "alu":
+        op = draw(st.sampled_from(["add", "sub", "mul", "and", "or", "xor", "shl", "shr"]))
+        return f"    {op} r{rd}, r{rs1}, r{rs2}"
+    if kind == "alui":
+        op = draw(st.sampled_from(["addi", "subi", "xori", "andi", "ori"]))
+        return f"    {op} r{rd}, r{rs1}, {draw(st.integers(0, 255))}"
+    if kind == "mov":
+        return f"    mov r{rd}, r{rs1}"
+    return f"    movi r{rd}, {draw(st.integers(0, 0xFFFF))}"
+
+
 @st.composite
 def guest_programs(draw, passes=1):
     """A random terminating guest program over tainted inputs.
@@ -231,6 +248,14 @@ def guest_programs(draw, passes=1):
     An optional leading ``jmp`` over 1-7 bytes misaligns the rest, so
     whichever instruction crosses a 256-byte page boundary straddles
     two guest pages.
+
+    An optional pure self-loop follows the random ops: a drawn
+    register-only body counted down in r0 by a drawn trip count, so its
+    iterations straddle the 100-instruction slice quantum and it exits
+    mid-slice.  r1..r5 are rewritten with constants first, so the bank
+    is clean at the loop unless a control window is still pending, and
+    over tainted code the taint tier replays the loop's record once per
+    iteration it runs in place.
     """
     lines = ["start:"]
     skew = draw(st.integers(0, 7))
@@ -255,16 +280,8 @@ def guest_programs(draw, passes=1):
         rd = draw(st.integers(1, 5))
         rs1 = draw(st.integers(1, 5))
         rs2 = draw(st.integers(1, 5))
-        if kind == "alu":
-            op = draw(st.sampled_from(["add", "sub", "mul", "and", "or", "xor", "shl", "shr"]))
-            lines.append(f"    {op} r{rd}, r{rs1}, r{rs2}")
-        elif kind == "alui":
-            op = draw(st.sampled_from(["addi", "subi", "xori", "andi", "ori"]))
-            lines.append(f"    {op} r{rd}, r{rs1}, {draw(st.integers(0, 255))}")
-        elif kind == "mov":
-            lines.append(f"    mov r{rd}, r{rs1}")
-        elif kind == "movi":
-            lines.append(f"    movi r{rd}, {draw(st.integers(0, 0xFFFF))}")
+        if kind in REGISTER_KINDS:
+            lines.append(register_op(draw, kind, rd, rs1, rs2))
         elif kind == "ld":
             lines.append("    movi r6, buf")
             lines.append(f"    ld r{rd}, [r6+{4 * draw(st.integers(0, 7))}]")
@@ -288,6 +305,16 @@ def guest_programs(draw, passes=1):
             lines.append(f"    {jump} {label}")
             lines.append(f"    movi r{rd}, {draw(st.integers(0, 99))}")
             lines.append(f"{label}:")
+    if draw(st.booleans()):
+        lines += [f"    movi r{r}, {draw(st.integers(0, 99))}" for r in range(1, 6)]
+        lines += [f"    movi r0, {draw(st.integers(1, 40))}", "self_loop:"]
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(REGISTER_KINDS))
+            rd = draw(st.integers(1, 5))
+            rs1 = draw(st.integers(1, 5))
+            rs2 = draw(st.integers(1, 5))
+            lines.append(register_op(draw, kind, rd, rs1, rs2))
+        lines += ["    subi r0, r0, 1", "    cmpi r0, 0", "    jnz self_loop"]
     lines.append("    movi r6, out")
     for i in range(5):
         lines.append(f"    st [r6+{4 * i}], r{i + 1}")
