@@ -63,9 +63,6 @@ MAX_RESTART_BACKOFF = 5.0
 def _child_main(conn, progress) -> None:
     """The forked worker body.  Never returns -- exits the process."""
     set_progress_sink(SharedProgressSink(progress))
-    # The parent handles SIGINT/SIGTERM itself; workers must not die to
-    # a Ctrl-C aimed at the foreground process group.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 0
     try:
         while True:
@@ -99,13 +96,24 @@ class SupervisedWorker:
 
     The pipe and progress array are created *before* the fork so both
     sides inherit them; the parent keeps one end, the child the other.
+    The parent handles SIGINT/SIGTERM itself, so a worker must not die
+    to a Ctrl-C aimed at the foreground process group: SIGINT stays
+    blocked across the fork until the child ignores it.
     """
 
     def __init__(self) -> None:
         self.conn, child_conn = multiprocessing.Pipe()
         self.progress = multiprocessing.Array("q", PROGRESS_SLOTS, lock=False)
         SharedProgressSink(self.progress).reset()
-        pid = os.fork()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # The child ignores SIGINT before unblocking it, so one
+                # that arrived in between is discarded.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if pid == 0:
             # Child: drop the parent's pipe end and serve jobs forever.
             self.conn.close()

@@ -77,9 +77,6 @@ class ReferenceShadowMemory:
         for paddr in paddrs:
             self._mem.pop(paddr, None)
 
-    def get_range(self, start: int, length: int) -> Prov:
-        return self.get_bytes(range(start, start + length))
-
     def set_range(self, start: int, length: int, prov: Prov) -> None:
         self.set_bytes(range(start, start + length), prov)
 

@@ -1,29 +1,27 @@
-"""Shadow state: two-representation shadow memory and register banks.
+"""Shadow state: page-organised shadow memory and register banks.
 
 The paper keeps "a shadow memory and a shadow register bank" as hash
 maps (§V-A).  Ours are:
 
 * :class:`ShadowMemory` -- ``physical address -> provenance list``,
-  organised as sparse **4 KiB shadow pages** with **two page
-  representations** (the multidift tag-page model):
+  organised as sparse **4 KiB shadow pages** (the multidift tag-page
+  model).  Every dirty page is a :class:`ShadowPage`: a flat
+  ``bytearray`` of 3-byte **provenance codes**, one per byte of the
+  page, each an index into a per-shadow code table of interned
+  provenance lists (code 0 = clean).  Range taint, kernel copies and
+  NIC DMA are therefore slice copies, not per-byte traffic.  A page is
+  allocated on its first tainted byte and dropped when its last one
+  clears, so shadow memory stays bounded at 3 bytes per guest RAM
+  byte.  The code table tells apart at most :data:`MAX_PROV_CODES`
+  lists; one more raises the classified
+  :class:`~repro.faults.errors.TaintBudgetExceeded`, which the machine
+  records as a degraded run.
 
-  - *dict pages* (``{paddr: prov}``) for mixed-provenance pages, the
-    original hash-map form and the semantic baseline;
-  - *array pages* (:class:`ShadowArrayPage`) for pages whose bytes
-    draw from a small set of interned provenance lists: a flat
-    ``bytearray`` of 3-byte **provenance codes** (indices into a
-    per-shadow code table, code 0 = clean), so range taint, kernel
-    copies and NIC DMA become slice copies instead of per-byte dict
-    traffic.
-
-  Pages promote to the array form once they are dense enough and hold
-  few enough distinct lists, and demote back to dicts when provenance
-  diversity or sparsity makes the flat form a bad fit; both directions
-  preserve exact per-byte provenance.  Keying on *physical* addresses
-  is what makes the analysis whole-system: a byte injected across
-  address spaces keeps its shadow entry because it keeps its physical
-  location.  The page table doubles as the **dirty-page index** --
-  only pages holding at least one tainted byte exist in it.
+  Keying on *physical* addresses is what makes the analysis
+  whole-system: a byte injected across address spaces keeps its shadow
+  entry because it keeps its physical location.  The page table
+  doubles as the **dirty-page index** -- only pages holding at least
+  one tainted byte exist in it.
 
   Each dirty page also carries a lazily-maintained **summary word**
   (the flag cache): the OR of its bytes' tag-class bits
@@ -42,25 +40,26 @@ Range operations take ``(start, length)`` pairs; scattered accesses
 use the ``*_bytes`` variants over per-byte ``paddrs`` tuples.  Bulk
 ops (:meth:`ShadowMemory.append_range`, :meth:`ShadowMemory.copy_range`)
 are **interner-counter exact**: they perform (or compensate for) the
-same memoised algebra calls the per-byte loops would, so differential
-runs across representations agree down to interner hit/miss counters.
-``taint/reference.py`` keeps the byte-at-a-time semantics as the
-oracle.
+same memoised algebra calls the per-byte loops would, so a bulk op and
+the same shadow driven one byte at a time agree down to interner
+hit/miss counters.  ``taint/reference.py`` keeps the byte-at-a-time
+semantics as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.faults.errors import TaintBudgetExceeded
 from repro.isa.registers import NUM_REGS, Reg
-from repro.taint.provenance import EMPTY, append_tag, prov_union
+from repro.taint.intern import ProvInterner
+from repro.taint.provenance import EMPTY
 from repro.taint.tags import Tag
 
 Prov = Tuple[Tag, ...]
 
 #: Shadow pages are 4 KiB -- independent of the guest's 256-byte MMU
-#: pages.  Larger shadow pages mean fewer probes on the clean path; the
-#: dirty-byte structure inside a page stays sparse either way.
+#: pages.  Larger shadow pages mean fewer probes on the clean path.
 SHADOW_PAGE_SHIFT = 12
 SHADOW_PAGE_SIZE = 1 << SHADOW_PAGE_SHIFT
 
@@ -71,20 +70,11 @@ SUMMARY_PROCESS = 2  # TagType.PROCESS
 SUMMARY_FILE = 4  # TagType.FILE (code/image provenance)
 SUMMARY_EXPORT = 8  # TagType.EXPORT_TABLE
 
-_ZERO3 = b"\x00\x00\x00"
+#: Largest provenance code: codes are 3 bytes wide and code 0 means
+#: clean, so one shadow tells apart at most this many distinct lists.
+MAX_PROV_CODES = 0xFFFFFF
 
-#: shadow_mode -> (promote_bytes, demote_bytes, max_array_codes).
-#: ``promote_bytes is None`` disables the array representation
-#: entirely ("dict" is the pre-flag-cache baseline); "array" promotes
-#: a page on its first tainted byte; "mixed" uses deliberately tight
-#: thresholds so randomized runs churn through promote/demote
-#: transitions (the representation-differential matrix exercises it).
-_MODES: Dict[str, Tuple[Optional[int], int, int]] = {
-    "auto": (128, 24, 16),
-    "dict": (None, 0, 0),
-    "array": (1, 0, 65536),
-    "mixed": (8, 4, 2),
-}
+_ZERO3 = b"\x00\x00\x00"
 
 #: value-keyed memo of provenance list -> summary class mask.  Shared
 #: process-wide (masks depend only on tag types, never on interners).
@@ -104,21 +94,18 @@ def prov_class_mask(prov: Prov) -> int:
     return mask
 
 
-class ShadowArrayPage:
+class ShadowPage:
     """Flat 4 KiB tag page: one 3-byte provenance code per byte.
 
-    ``codes`` is a conservative superset of the non-zero codes present
-    (entries are added eagerly on writes and only recomputed exactly
-    when the superset outgrows the mode's ``max_array_codes``);
-    ``count`` is the exact number of non-clean bytes.
+    ``count`` is the exact number of non-clean bytes; a page whose
+    count drops to 0 leaves the page table.
     """
 
-    __slots__ = ("tags", "count", "codes")
+    __slots__ = ("tags", "count")
 
     def __init__(self) -> None:
         self.tags = bytearray(3 * SHADOW_PAGE_SIZE)
         self.count = 0
-        self.codes: Set[int] = set()
 
 
 def _nonzero_entries(tags: bytearray, a3: int, b3: int) -> int:
@@ -135,62 +122,50 @@ def _nonzero_entries(tags: bytearray, a3: int, b3: int) -> int:
     return count
 
 
+def _page_codes(tags: bytearray) -> Iterator[Tuple[int, int]]:
+    """``(offset, code)`` per non-clean entry of a page, skipping each
+    clean 128-byte stretch with one ``count``."""
+    for chunk in range(0, 3 * SHADOW_PAGE_SIZE, 384):
+        if tags.count(0, chunk, chunk + 384) == 384:
+            continue
+        for off in range(chunk, chunk + 384, 3):
+            code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
+            if code:
+                yield off, code
+
+
 class ShadowMemory:
     """Sparse byte-granular shadow over physical memory, in 4 KiB pages.
 
     Invariants: no page is ever empty (``page absent`` == "these 4 KiB
-    carry no taint", the all-clean fast exit); no dict entry and no
-    array code maps to an empty provenance list; when a page's summary
-    word is cached it equals the OR of its bytes' tag-class masks.
+    carry no taint", the all-clean fast exit); only code 0 means clean;
+    when a page's summary word is cached it equals the OR of its bytes'
+    tag-class masks.
     """
 
     __slots__ = (
         "_pages",
         "_count",
+        "_interner",
         "_union",
         "_append",
-        "_seed",
-        "_intern",
-        "_interner",
-        "mode",
-        "_promote_bytes",
-        "_demote_bytes",
-        "_max_codes",
         "_code_of",
         "_prov_of",
         "_enc",
         "_class_of",
         "_summaries",
         "_epochs",
-        "_promote_retry",
-        "_code_overflow",
-        "promotions",
-        "demotions",
         "summary_hits",
         "summary_misses",
     )
 
-    def __init__(self, interner=None, mode: str = "auto") -> None:
-        if mode not in _MODES:
-            raise ValueError(
-                f"unknown shadow mode {mode!r} (choose from {sorted(_MODES)})"
-            )
-        #: shadow page number -> dict page or ShadowArrayPage (absent = clean).
-        self._pages: Dict[int, object] = {}
+    def __init__(self, interner: ProvInterner) -> None:
+        #: shadow page number -> ShadowPage (absent = clean).
+        self._pages: Dict[int, ShadowPage] = {}
         self._count = 0
         self._interner = interner
-        if interner is not None:
-            self._union = interner.union
-            self._append = interner.append
-            self._seed = interner.seed
-            self._intern = interner.intern
-        else:
-            self._union = prov_union
-            self._append = append_tag
-            self._seed = lambda tag: (tag,)
-            self._intern = lambda prov: prov
-        self.mode = mode
-        self._promote_bytes, self._demote_bytes, self._max_codes = _MODES[mode]
+        self._union = interner.union
+        self._append = interner.append
         #: provenance code table: canonical list <-> 3-byte code, 0 = clean.
         self._code_of: Dict[Prov, int] = {EMPTY: 0}
         self._prov_of: List[Prov] = [EMPTY]
@@ -199,37 +174,52 @@ class ShadowMemory:
         #: flag cache: page number -> summary word (absent = not cached).
         self._summaries: Dict[int, int] = {}
         #: page number -> mutation epoch (absent = 0): bumped on every
-        #: content change, page deletion included, never on representation
-        #: changes -- so an unchanged epoch certifies any cached verdict
-        #: about the page's bytes (the block translator's fetch memos and
-        #: replay records).
+        #: content change, page deletion included -- so an unchanged
+        #: epoch certifies any cached verdict about the page's bytes
+        #: (the block translator's fetch memos and replay records).
         self._epochs: Dict[int, int] = {}
-        #: promotion back-off: page number -> retry once len(page) >= this.
-        self._promote_retry: Dict[int, int] = {}
-        self._code_overflow = False
-        self.promotions = 0
-        self.demotions = 0
         self.summary_hits = 0
         self.summary_misses = 0
 
     # ------------------------------------------------------------------
-    # code table
+    # code table and page bookkeeping
     # ------------------------------------------------------------------
 
     def _encode(self, prov: Prov) -> int:
-        """Code for *prov*, assigning one if new; -1 on table overflow."""
+        """Code for *prov*, assigning the next one if it is new.
+
+        Raises :class:`TaintBudgetExceeded` when the table is full.
+        Every op encodes before it writes a page, so a trip leaves the
+        shadow consistent.
+        """
         code = self._code_of.get(prov)
         if code is None:
-            if len(self._prov_of) > 0xFFFFFF:
-                self._code_overflow = True
-                return -1
-            prov = self._intern(prov)
             code = len(self._prov_of)
+            if code > MAX_PROV_CODES:
+                raise TaintBudgetExceeded("provenance codes", code, MAX_PROV_CODES)
+            prov = self._interner.intern(prov)
             self._code_of[prov] = code
             self._prov_of.append(prov)
             self._enc.append(bytes((code & 0xFF, (code >> 8) & 0xFF, code >> 16)))
             self._class_of.append(prov_class_mask(prov))
         return code
+
+    def _page_for_write(self, number: int) -> ShadowPage:
+        """Page *number*, allocated (with an exact, empty summary) if absent."""
+        page = self._pages.get(number)
+        if page is None:
+            page = self._pages[number] = ShadowPage()
+            self._summaries[number] = 0
+        return page
+
+    def _cleared(self, number: int, page: ShadowPage, removed: int) -> None:
+        """Account *removed* bytes of page *number* that just turned clean."""
+        page.count -= removed
+        self._count -= removed
+        self._sum_drop(number)
+        self._bump(number)
+        if not page.count:
+            del self._pages[number]
 
     # ------------------------------------------------------------------
     # flag cache / epochs
@@ -253,24 +243,10 @@ class ShadowMemory:
             self.summary_hits += 1
             return summary
         self.summary_misses += 1
+        class_of = self._class_of
         summary = 0
-        if type(page) is dict:
-            for prov in page.values():
-                summary |= prov_class_mask(prov)
-        else:
-            tags = page.tags
-            class_of = self._class_of
-            codes: Set[int] = set()
-            for chunk in range(0, 3 * SHADOW_PAGE_SIZE, 384):
-                if tags.count(0, chunk, chunk + 384) == 384:
-                    continue
-                for off in range(chunk, chunk + 384, 3):
-                    code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                    if code:
-                        codes.add(code)
-            page.codes = codes  # exact refresh, piggybacked on the scan
-            for code in codes:
-                summary |= class_of[code]
+        for _, code in _page_codes(page.tags):
+            summary |= class_of[code]
         self._summaries[number] = summary
         return summary
 
@@ -291,208 +267,83 @@ class ShadowMemory:
         page = self._pages.get(paddr >> SHADOW_PAGE_SHIFT)
         if page is None:
             return EMPTY
-        if type(page) is dict:
-            return page.get(paddr, EMPTY)
         off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
         tags = page.tags
         return self._prov_of[tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16]
 
     def set(self, paddr: int, prov: Prov) -> None:
-        pages = self._pages
         number = paddr >> SHADOW_PAGE_SHIFT
-        page = pages.get(number)
-        if page is None:
-            if not prov:
-                return
-            page = pages[number] = {paddr: prov}
-            self._count += 1
-            self._summaries[number] = prov_class_mask(prov)
-            self._bump(number)
-            return
-        if type(page) is dict:
-            if prov:
-                old = page.get(paddr)
-                if old is None:
-                    self._count += 1
-                    self._sum_or(number, prov_class_mask(prov))
-                elif old is not prov and old != prov:
-                    self._sum_drop(number)
-                page[paddr] = prov
-                self._bump(number)
-                pb = self._promote_bytes
-                if pb is not None and len(page) >= pb:
-                    self._maybe_promote(number, page)
-            elif page.pop(paddr, None) is not None:
-                self._count -= 1
-                self._bump(number)
-                if not page:
-                    del pages[number]
-                    self._sum_drop(number)
-                else:
-                    self._sum_drop(number)
-            return
-        # array page
         off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
+        if not prov:
+            page = self._pages.get(number)
+            if page is not None:
+                tags = page.tags
+                if tags[off] or tags[off + 1] or tags[off + 2]:
+                    tags[off : off + 3] = _ZERO3
+                    self._cleared(number, page, 1)
+            return
+        code = self._encode(prov)
+        page = self._page_for_write(number)
         tags = page.tags
-        old_dirty = tags[off] or tags[off + 1] or tags[off + 2]
-        if prov:
-            code = self._encode(prov)
-            if code < 0:
-                self._demote(number, page)
-                self.set(paddr, prov)
-                return
+        old = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
+        if old != code:
             tags[off : off + 3] = self._enc[code]
-            if old_dirty:
+            if old:
                 self._sum_drop(number)
             else:
                 page.count += 1
                 self._count += 1
                 self._sum_or(number, self._class_of[code])
-            page.codes.add(code)
-            self._bump(number)
-            if len(page.codes) > self._max_codes:
-                self._check_codes(number, page)
-        elif old_dirty:
-            tags[off : off + 3] = _ZERO3
-            page.count -= 1
-            self._count -= 1
-            self._sum_drop(number)
-            self._bump(number)
-            if page.count == 0:
-                del pages[number]
-            elif page.count < self._demote_bytes:
-                self._demote(number, page)
+        self._bump(number)
 
     # ------------------------------------------------------------------
     # contiguous (start, length) ranges
     # ------------------------------------------------------------------
 
-    def _chunks(self, start: int, length: int) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(page_number, pos, page_end)`` per touched shadow page."""
+    def _chunks(self, start: int, length: int) -> Iterator[Tuple[int, int, int, int]]:
+        """Yield ``(page_number, pos, a3, b3)`` per touched shadow page:
+        the run's first address there and its slice ``tags[a3:b3]``."""
         pos, end = start, start + length
         while pos < end:
             number = pos >> SHADOW_PAGE_SHIFT
             page_end = min(end, (number + 1) << SHADOW_PAGE_SHIFT)
-            yield number, pos, page_end
+            a3 = (pos & (SHADOW_PAGE_SIZE - 1)) * 3
+            yield number, pos, a3, a3 + (page_end - pos) * 3
             pos = page_end
-
-    def get_range(self, start: int, length: int) -> Prov:
-        """Union of the provenance of ``length`` bytes from ``start``.
-
-        Both representations union per non-clean entry in ascending
-        address order -- the identical memoised-call sequence, so the
-        interner counters cannot drift across page representations.
-        """
-        out: Prov = EMPTY
-        pages = self._pages
-        union = self._union
-        for number, pos, page_end in self._chunks(start, length):
-            page = pages.get(number)
-            if page is None:
-                continue
-            if type(page) is dict:
-                for paddr in range(pos, page_end):
-                    prov = page.get(paddr)
-                    if prov:
-                        out = union(out, prov)
-            else:
-                tags = page.tags
-                prov_of = self._prov_of
-                base = number << SHADOW_PAGE_SHIFT
-                a3, b3 = (pos - base) * 3, (page_end - base) * 3
-                if tags.count(0, a3, b3) == b3 - a3:
-                    continue
-                for off in range(a3, b3, 3):
-                    code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                    if code:
-                        out = union(out, prov_of[code])
-        return out
 
     def set_range(self, start: int, length: int, prov: Prov) -> None:
         if not prov:
             self.clear_range(start, length)
             return
-        pages = self._pages
-        pb = self._promote_bytes
-        for number, pos, page_end in self._chunks(start, length):
-            run = page_end - pos
-            page = pages.get(number)
-            if page is None:
-                if pb is not None and run >= pb:
-                    page = pages[number] = ShadowArrayPage()
-                else:
-                    page = pages[number] = {}
-            if type(page) is dict:
-                before = len(page)
-                had = bool(before)
-                for paddr in range(pos, page_end):
-                    page[paddr] = prov
-                self._count += len(page) - before
-                if had and len(page) != before + run:
-                    self._sum_drop(number)  # overwrote existing entries
-                else:
-                    if had:
-                        self._sum_or(number, prov_class_mask(prov))
-                    else:
-                        self._summaries[number] = prov_class_mask(prov)
-                self._bump(number)
-                if pb is not None and len(page) >= pb:
-                    self._maybe_promote(number, page)
+        if length <= 0:
+            return
+        code = self._encode(prov)
+        entry = self._enc[code]
+        mask = self._class_of[code]
+        for number, _, a3, b3 in self._chunks(start, length):
+            run = (b3 - a3) // 3
+            page = self._page_for_write(number)
+            tags = page.tags
+            removed = _nonzero_entries(tags, a3, b3)
+            tags[a3:b3] = entry * run
+            page.count += run - removed
+            self._count += run - removed
+            if removed:
+                self._sum_drop(number)
             else:
-                code = self._encode(prov)
-                if code < 0:
-                    self._demote(number, page)
-                    self.set_range(pos, run, prov)
-                    continue
-                tags = page.tags
-                base = number << SHADOW_PAGE_SHIFT
-                a3, b3 = (pos - base) * 3, (page_end - base) * 3
-                removed = _nonzero_entries(tags, a3, b3)
-                tags[a3:b3] = self._enc[code] * run
-                page.count += run - removed
-                self._count += run - removed
-                page.codes.add(code)
-                if removed:
-                    self._sum_drop(number)
-                else:
-                    self._sum_or(number, self._class_of[code])
-                self._bump(number)
-                if len(page.codes) > self._max_codes:
-                    self._check_codes(number, page)
+                self._sum_or(number, mask)
+            self._bump(number)
 
     def clear_range(self, start: int, length: int) -> None:
         pages = self._pages
-        for number, pos, page_end in self._chunks(start, length):
+        for number, _, a3, b3 in self._chunks(start, length):
             page = pages.get(number)
             if page is None:  # absent page: skip the whole 4 KiB in one probe
                 continue
-            if type(page) is dict:
-                pop = page.pop
-                removed = 0
-                for paddr in range(pos, page_end):
-                    if pop(paddr, None) is not None:
-                        removed += 1
-                if removed:
-                    self._count -= removed
-                    self._sum_drop(number)
-                    self._bump(number)
-                    if not page:
-                        del pages[number]
-            else:
-                tags = page.tags
-                base = number << SHADOW_PAGE_SHIFT
-                a3, b3 = (pos - base) * 3, (page_end - base) * 3
-                removed = _nonzero_entries(tags, a3, b3)
-                if removed:
-                    tags[a3:b3] = bytes(b3 - a3)
-                    page.count -= removed
-                    self._count -= removed
-                    self._sum_drop(number)
-                    self._bump(number)
-                    if page.count == 0:
-                        del pages[number]
-                    elif page.count < self._demote_bytes:
-                        self._demote(number, page)
+            removed = _nonzero_entries(page.tags, a3, b3)
+            if removed:
+                page.tags[a3:b3] = bytes(b3 - a3)
+                self._cleared(number, page, removed)
 
     # ------------------------------------------------------------------
     # bulk taint ops (interner-counter exact vs the per-byte loops)
@@ -508,90 +359,54 @@ class ShadowMemory:
         the per-byte loop would have scored.
         """
         pages = self._pages
-        append = self._append
         interner = self._interner
-        pb = self._promote_bytes
+        append = self._append
+        prov_of = self._prov_of
         seed_code = -1
-        for number, pos, page_end in self._chunks(start, length):
-            run = page_end - pos
+        for number, pos, a3, b3 in self._chunks(start, length):
+            run = (b3 - a3) // 3
             page = pages.get(number)
-            if page is None:
+            if page is None or page.tags.count(0, a3, b3) == b3 - a3:
                 # all-clean run: every byte takes the seed path (uncounted).
-                self.set_range(pos, run, self._seed(tag))
-                continue
-            if type(page) is dict:
-                for paddr in range(pos, page_end):
-                    self.set(paddr, append(self.get(paddr), tag))
+                self.set_range(pos, run, interner.seed(tag))
                 continue
             tags = page.tags
-            base = number << SHADOW_PAGE_SHIFT
-            a3, b3 = (pos - base) * 3, (page_end - base) * 3
-            if tags.count(0, a3, b3) == b3 - a3:
-                self.set_range(pos, run, self._seed(tag))
-                continue
             seg = tags[a3:b3]
             if seg[3:] == seg[:-3]:
                 # uniform non-clean run: one real append, rest are hits.
-                code = seg[0] | seg[1] << 8 | seg[2] << 16
-                new_prov = append(self._prov_of[code], tag)
-                new_code = self._encode(new_prov)
-                if new_code < 0:
-                    self._demote(number, page)
-                    if interner is not None:
-                        interner.hits += run - 1
-                    dpage = pages[number]
-                    for paddr in range(pos, page_end):
-                        dpage[paddr] = new_prov
-                    self._sum_drop(number)
-                    self._bump(number)
-                    continue
-                if interner is not None:
-                    interner.hits += run - 1
-                tags[a3:b3] = self._enc[new_code] * run
-                page.codes.add(new_code)
-                self._sum_or(number, self._class_of[new_code])
+                code = self._encode(append(prov_of[seg[0] | seg[1] << 8 | seg[2] << 16], tag))
+                interner.hits += run - 1
+                tags[a3:b3] = self._enc[code] * run
+                self._sum_or(number, self._class_of[code])
                 self._bump(number)
-                if len(page.codes) > self._max_codes:
-                    self._check_codes(number, page)
                 continue
             # mixed run: memoise per distinct source code; repeats are
             # the hits the per-byte memoised append would have scored.
             if seed_code < 0:
-                seed_code = self._encode(self._seed(tag))
+                seed_code = self._encode(interner.seed(tag))
             memo: Dict[int, int] = {}
             enc = self._enc
+            class_of = self._class_of
             added = 0
             mask = 0
-            overflow = False
-            for off in range(a3, b3, 3):
-                code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
+            for off in range(0, b3 - a3, 3):
+                code = seg[off] | seg[off + 1] << 8 | seg[off + 2] << 16
                 if code == 0:
                     new_code = seed_code
                     added += 1
                 else:
                     new_code = memo.get(code)
                     if new_code is None:
-                        new_code = self._encode(append(self._prov_of[code], tag))
-                        if new_code < 0:
-                            overflow = True
-                            break
-                        memo[code] = new_code
-                    elif interner is not None:
+                        new_code = memo[code] = self._encode(append(prov_of[code], tag))
+                    else:
                         interner.hits += 1
-                page.codes.add(new_code)
-                mask |= self._class_of[new_code]
-                tags[off : off + 3] = enc[new_code]
-            if overflow:
-                self._demote(number, page)
-                for paddr in range(pos, page_end):
-                    self.set(paddr, append(self.get(paddr), tag))
-                continue
+                mask |= class_of[new_code]
+                seg[off : off + 3] = enc[new_code]
+            tags[a3:b3] = seg
             page.count += added
             self._count += added
             self._sum_or(number, mask)
             self._bump(number)
-            if len(page.codes) > self._max_codes:
-                self._check_codes(number, page)
 
     def copy_range(self, dst: int, src: int, length: int, tag: Optional[Tag] = None) -> int:
         """``dst[i] <- src[i]`` tag copy (``append(tag)`` en route if given).
@@ -599,8 +414,10 @@ class ShadowMemory:
         Returns the number of per-byte appends the equivalent per-byte
         loop would report (its ``process_tag_appends`` contribution).
         Matches the per-byte zip-order semantics exactly: the rippling
-        forward-overlap case (``src < dst < src+length``) falls back to
-        the literal loop; every other case is memmove-equivalent.
+        forward-overlap case (``src < dst < src+length``) runs the
+        literal loop; every other case is memmove-equivalent, one slice
+        copy per chunk that stays within one source and one destination
+        page.
         """
         if length <= 0 or (dst == src and tag is None):
             return 0
@@ -611,28 +428,17 @@ class ShadowMemory:
         pages = self._pages
         while pos < length:
             s, d = src + pos, dst + pos
-            sn, dn = s >> SHADOW_PAGE_SHIFT, d >> SHADOW_PAGE_SHIFT
             chunk = min(
                 length - pos,
-                ((sn + 1) << SHADOW_PAGE_SHIFT) - s,
-                ((dn + 1) << SHADOW_PAGE_SHIFT) - d,
+                SHADOW_PAGE_SIZE - (s & (SHADOW_PAGE_SIZE - 1)),
+                SHADOW_PAGE_SIZE - (d & (SHADOW_PAGE_SIZE - 1)),
             )
-            spage = pages.get(sn)
+            spage = pages.get(s >> SHADOW_PAGE_SHIFT)
             if spage is None:
                 # clean source: per-byte writes EMPTY everywhere (uncounted).
                 self.clear_range(d, chunk)
-                pos += chunk
-                continue
-            dpage = pages.get(dn)
-            if (
-                type(spage) is dict
-                or type(dpage) is dict
-                or (dpage is None and (self._promote_bytes is None or chunk < self._promote_bytes))
-            ):
-                appends += self._copy_bytes(d, s, chunk, tag)
-                pos += chunk
-                continue
-            appends += self._copy_array_chunk(dn, dpage, d, sn, spage, s, chunk, tag)
+            else:
+                appends += self._copy_chunk(d, spage, s, chunk, tag)
             pos += chunk
         return appends
 
@@ -648,89 +454,53 @@ class ShadowMemory:
             self.set(dst + i, prov)
         return appends
 
-    def _copy_array_chunk(
-        self,
-        dn: int,
-        dpage: Optional[ShadowArrayPage],
-        d: int,
-        sn: int,
-        spage: ShadowArrayPage,
-        s: int,
-        chunk: int,
-        tag: Optional[Tag],
+    def _copy_chunk(
+        self, d: int, spage: ShadowPage, s: int, chunk: int, tag: Optional[Tag]
     ) -> int:
-        """Array-to-array slice copy of one chunk (both pages array/fresh)."""
-        pages = self._pages
-        sbase = sn << SHADOW_PAGE_SHIFT
-        sa3 = (s - sbase) * 3
-        sb3 = sa3 + chunk * 3
-        stags = spage.tags
-        seg = stags[sa3:sb3]  # snapshot: same-buffer backward copies stay safe
-        src_entries = _nonzero_entries(seg, 0, len(seg))
-        if src_entries == 0:
+        """Slice copy of one chunk from source page *spage* to ``d``."""
+        sa3 = (s & (SHADOW_PAGE_SIZE - 1)) * 3
+        seg = spage.tags[sa3 : sa3 + chunk * 3]  # snapshot: same-buffer copies stay safe
+        entries = _nonzero_entries(seg, 0, len(seg))
+        if entries == 0:
             self.clear_range(d, chunk)
             return 0
         appends = 0
-        interner = self._interner
-        seg_codes: Optional[Set[int]] = None  # None -> spage.codes superset
         if tag is not None:
+            # Rewrite the snapshot through the memoised append before the
+            # destination is touched, so a code-table trip changes nothing.
+            interner = self._interner
             append = self._append
+            prov_of = self._prov_of
             enc = self._enc
+            appends = entries
             if seg[3:] == seg[:-3]:
-                code = seg[0] | seg[1] << 8 | seg[2] << 16
-                new_code = self._encode(append(self._prov_of[code], tag))
-                if new_code < 0:
-                    return self._copy_overflow(d, s, chunk, tag)
-                if interner is not None:
-                    interner.hits += chunk - 1
-                seg = bytearray(enc[new_code] * chunk)
-                appends = chunk
-                seg_codes = {new_code}
+                code = self._encode(append(prov_of[seg[0] | seg[1] << 8 | seg[2] << 16], tag))
+                interner.hits += chunk - 1
+                seg = enc[code] * chunk
             else:
                 memo: Dict[int, int] = {}
-                seg_codes = set()
                 for off in range(0, len(seg), 3):
                     code = seg[off] | seg[off + 1] << 8 | seg[off + 2] << 16
                     if code == 0:
                         continue
-                    appends += 1
                     new_code = memo.get(code)
                     if new_code is None:
-                        new_code = self._encode(append(self._prov_of[code], tag))
-                        if new_code < 0:
-                            return self._copy_overflow(d, s, chunk, tag)
-                        memo[code] = new_code
-                    elif interner is not None:
+                        new_code = memo[code] = self._encode(append(prov_of[code], tag))
+                    else:
                         interner.hits += 1
                     seg[off : off + 3] = enc[new_code]
-                    seg_codes.add(new_code)
-                # fall through with the rewritten segment
-        if dpage is None:
-            dpage = pages[dn] = ShadowArrayPage()
-        dbase = dn << SHADOW_PAGE_SHIFT
-        da3 = (d - dbase) * 3
+        dn = d >> SHADOW_PAGE_SHIFT
+        dpage = self._page_for_write(dn)
+        da3 = (d & (SHADOW_PAGE_SIZE - 1)) * 3
         db3 = da3 + chunk * 3
         dtags = dpage.tags
         removed = _nonzero_entries(dtags, da3, db3)
         dtags[da3:db3] = seg
-        dpage.count += src_entries - removed
-        self._count += src_entries - removed
-        # conservative superset: the copied codes (exact when rewritten
-        # through the append memo, the whole source page's set otherwise).
-        dpage.codes |= spage.codes if seg_codes is None else seg_codes
+        dpage.count += entries - removed
+        self._count += entries - removed
         self._sum_drop(dn)
         self._bump(dn)
-        if len(dpage.codes) > self._max_codes:
-            self._check_codes(dn, dpage)
         return appends
-
-    def _copy_overflow(self, d: int, s: int, chunk: int, tag: Optional[Tag]) -> int:
-        """Code-table overflow mid-chunk (>16M distinct lists): redo the
-        chunk per byte.  The destination is untouched up to this point
-        (only the local segment copy was rewritten), so the replay is
-        semantically exact; the handful of duplicated memoised calls is
-        the one place bulk interner accounting is approximate."""
-        return self._copy_bytes(d, s, chunk, tag)
 
     # ------------------------------------------------------------------
     # scattered per-byte paddr tuples (CPU accesses can span guest pages)
@@ -745,7 +515,7 @@ class ShadowMemory:
         union = self._union
         prov_of = self._prov_of
         previous = -1
-        page: object = None
+        page: Optional[ShadowPage] = None
         for paddr in paddrs:
             number = paddr >> SHADOW_PAGE_SHIFT
             if number != previous:
@@ -753,24 +523,16 @@ class ShadowMemory:
                 previous = number
             if page is None:
                 continue
-            if type(page) is dict:
-                prov = page.get(paddr)
-                if prov:
-                    out = union(out, prov)
-            else:
-                tags = page.tags
-                off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
-                code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                if code:
-                    out = union(out, prov_of[code])
+            tags = page.tags
+            off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
+            code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
+            if code:
+                out = union(out, prov_of[code])
         return out
 
     def set_bytes(self, paddrs: Iterable[int], prov: Prov) -> None:
-        if prov:
-            for paddr in paddrs:
-                self.set(paddr, prov)
-        else:
-            self.clear_bytes(paddrs)
+        for paddr in paddrs:
+            self.set(paddr, prov)
 
     def clear_bytes(self, paddrs: Iterable[int]) -> None:
         for paddr in paddrs:
@@ -813,14 +575,13 @@ class ShadowMemory:
 
     def bytes_clean(self, paddrs: Sequence[int]) -> bool:
         """Byte-precise cleanliness of *paddrs* (the flag-cache upgrade
-        of :meth:`pages_clean`): bytes on dirty pages are still clean
-        if their own entries are -- array pages answer with three
-        ``bytearray`` reads, dict pages with one membership probe."""
+        of :meth:`pages_clean`): bytes on dirty pages are still clean if
+        their own codes are -- three ``bytearray`` reads per byte."""
         pages = self._pages
         if not pages:
             return True
         previous = -1
-        page: object = None
+        page: Optional[ShadowPage] = None
         for paddr in paddrs:
             number = paddr >> SHADOW_PAGE_SHIFT
             if number != previous:
@@ -828,103 +589,10 @@ class ShadowMemory:
                 previous = number
             if page is None:
                 continue
-            if type(page) is dict:
-                if paddr in page:
-                    return False
-            else:
-                tags = page.tags
-                off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
-                if tags[off] or tags[off + 1] or tags[off + 2]:
-                    return False
-        return True
-
-    # ------------------------------------------------------------------
-    # promotion / demotion
-    # ------------------------------------------------------------------
-
-    def _maybe_promote(self, number: int, page: Dict[int, Prov]) -> None:
-        if self._code_overflow or len(page) < self._promote_retry.get(number, 0):
-            return
-        if not self._build_array(number, page):
-            self._promote_retry[number] = len(page) * 2
-
-    def _build_array(self, number: int, page: Dict[int, Prov]) -> bool:
-        distinct = set(page.values())
-        if len(distinct) > self._max_codes:
-            return False
-        for prov in distinct:
-            if self._encode(prov) < 0:
+            tags = page.tags
+            off = (paddr & (SHADOW_PAGE_SIZE - 1)) * 3
+            if tags[off] or tags[off + 1] or tags[off + 2]:
                 return False
-        apage = ShadowArrayPage()
-        tags = apage.tags
-        enc = self._enc
-        code_of = self._code_of
-        codes = apage.codes
-        base = number << SHADOW_PAGE_SHIFT
-        for paddr, prov in page.items():
-            code = code_of[prov]
-            off = (paddr - base) * 3
-            tags[off : off + 3] = enc[code]
-            codes.add(code)
-        apage.count = len(page)
-        self._pages[number] = apage
-        self.promotions += 1
-        self._promote_retry.pop(number, None)
-        # content is identical: no epoch bump, summary cache stays valid.
-        return True
-
-    def _demote(self, number: int, page: ShadowArrayPage) -> None:
-        tags = page.tags
-        prov_of = self._prov_of
-        base = number << SHADOW_PAGE_SHIFT
-        out: Dict[int, Prov] = {}
-        for chunk in range(0, 3 * SHADOW_PAGE_SIZE, 384):
-            if tags.count(0, chunk, chunk + 384) == 384:
-                continue
-            for off in range(chunk, chunk + 384, 3):
-                code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                if code:
-                    out[base + off // 3] = prov_of[code]
-        self._pages[number] = out
-        self.demotions += 1
-        # content is identical: no epoch bump, summary cache stays valid.
-
-    def _check_codes(self, number: int, page: ShadowArrayPage) -> None:
-        """Recompute the exact code set; demote if genuinely too diverse."""
-        tags = page.tags
-        codes: Set[int] = set()
-        for chunk in range(0, 3 * SHADOW_PAGE_SIZE, 384):
-            if tags.count(0, chunk, chunk + 384) == 384:
-                continue
-            for off in range(chunk, chunk + 384, 3):
-                code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                if code:
-                    codes.add(code)
-        page.codes = codes
-        if len(codes) > self._max_codes:
-            self._demote(number, page)
-
-    def promote_page(self, number: int) -> bool:
-        """Force page *number* into the array form (tests/benchmarks).
-
-        Returns True if the page is array-backed on return."""
-        page = self._pages.get(number)
-        if page is None:
-            return False
-        if type(page) is not dict:
-            return True
-        return self._build_array(number, page)
-
-    def demote_page(self, number: int) -> bool:
-        """Force page *number* into the dict form (tests/benchmarks).
-
-        Returns True if the page is dict-backed on return."""
-        page = self._pages.get(number)
-        if page is None:
-            return False
-        if type(page) is dict:
-            return True
-        self._demote(number, page)
         return True
 
     # ------------------------------------------------------------------
@@ -947,16 +615,6 @@ class ShadowMemory:
         """
         return len(self._pages)
 
-    @property
-    def array_page_count(self) -> int:
-        """Dirty pages currently in the flat array representation."""
-        return sum(1 for page in self._pages.values() if type(page) is not dict)
-
-    @property
-    def dict_page_count(self) -> int:
-        """Dirty pages currently in the dict-of-entries representation."""
-        return sum(1 for page in self._pages.values() if type(page) is dict)
-
     def dirty_pages(self) -> List[int]:
         """Shadow page numbers holding at least one tainted byte."""
         return sorted(self._pages)
@@ -964,25 +622,13 @@ class ShadowMemory:
     def items(self) -> Iterator[Tuple[int, Prov]]:
         prov_of = self._prov_of
         for number, page in self._pages.items():
-            if type(page) is dict:
-                yield from page.items()
-            else:
-                tags = page.tags
-                base = number << SHADOW_PAGE_SHIFT
-                for chunk in range(0, 3 * SHADOW_PAGE_SIZE, 384):
-                    if tags.count(0, chunk, chunk + 384) == 384:
-                        continue
-                    for off in range(chunk, chunk + 384, 3):
-                        code = tags[off] | tags[off + 1] << 8 | tags[off + 2] << 16
-                        if code:
-                            yield base + off // 3, prov_of[code]
+            base = number << SHADOW_PAGE_SHIFT
+            for off, code in _page_codes(page.tags):
+                yield base + off // 3, prov_of[code]
 
     def snapshot(self) -> Dict[int, Prov]:
         """Flat ``paddr -> provenance`` copy (differential comparisons)."""
-        out: Dict[int, Prov] = {}
-        for paddr, prov in self.items():
-            out[paddr] = prov
-        return out
+        return dict(self.items())
 
 
 class ShadowRegisters:

@@ -30,7 +30,15 @@ Fast path (the paper's §V-A overhead attack, reproduced):
   identity and the instruction retires on the fast path;
 * **interned provenance** -- the slow path computes unions/appends
   through a :class:`~repro.taint.intern.ProvInterner`, so repeated
-  propagation of the same lists costs dict probes, not allocations.
+  propagation of the same lists costs dict probes, not allocations;
+* **flat shadow pages** -- every dirty 4 KiB shadow page is one
+  ``bytearray`` of 3-byte provenance codes
+  (:class:`~repro.taint.shadow.ShadowPage`), allocated on its first
+  tainted byte and dropped with its last, so kernel copies and DMA are
+  slice copies and shadow memory stays within 3 bytes per guest RAM
+  byte.  A run that needs more distinct provenance lists than the
+  3-byte codes can name stops with a classified
+  :class:`~repro.faults.errors.TaintBudgetExceeded`.
 
 The reference implementation without any of this lives in
 :mod:`repro.taint.reference`; ``tests/taint/test_differential.py`` holds
@@ -135,7 +143,9 @@ def register_tracker_metrics(registry, tracker) -> None:
 
     shadow = tracker.shadow
     registry.gauge("taint.shadow.tainted_bytes", lambda: shadow.tainted_bytes)
-    if hasattr(shadow, "dirty_page_count"):
+    if isinstance(shadow, ShadowMemory):
+        # The paged shadow: page footprint and the flag-cache (summary
+        # word) service rate.
         registry.gauge("taint.shadow.dirty_pages", lambda: shadow.dirty_page_count)
         registry.gauge(
             "taint.shadow.page_occupancy",
@@ -145,14 +155,6 @@ def register_tracker_metrics(registry, tracker) -> None:
                 else 0.0
             ),
         )
-    if hasattr(shadow, "promotions"):
-        # Two-representation shadow: array-vs-dict occupancy, the
-        # promotion/demotion churn, and the flag-cache (summary word)
-        # service rate.
-        registry.gauge("taint.shadow.array_pages", lambda: shadow.array_page_count)
-        registry.gauge("taint.shadow.dict_pages", lambda: shadow.dict_page_count)
-        registry.gauge("taint.shadow.promotions", lambda: shadow.promotions)
-        registry.gauge("taint.shadow.demotions", lambda: shadow.demotions)
         registry.gauge("taint.shadow.flag_cache.hits", lambda: shadow.summary_hits)
         registry.gauge("taint.shadow.flag_cache.misses", lambda: shadow.summary_misses)
 
@@ -171,7 +173,6 @@ class TaintTracker(Plugin):
         policy: Optional[TaintPolicy] = None,
         tags: Optional[TagStore] = None,
         interner: Optional[ProvInterner] = None,
-        shadow_mode: str = "auto",
     ) -> None:
         super().__init__()
         self.policy = policy or TaintPolicy()
@@ -183,11 +184,7 @@ class TaintTracker(Plugin):
             # breaking the determinism contract faulted replays rely on.
             interner = ProvInterner()
         self.interner = interner if interner is not None else GLOBAL_INTERNER
-        # ``shadow_mode`` selects the page-representation policy
-        # ("auto" / "dict" / "array" / "mixed"); every mode is
-        # semantically identical -- the representation-differential
-        # matrix holds them bit-identical down to interner counters.
-        self.shadow = ShadowMemory(self.interner, mode=shadow_mode)
+        self.shadow = ShadowMemory(self.interner)
         self._max_tainted_bytes = self.policy.max_tainted_bytes
         self._max_prov_nodes = self.policy.max_prov_nodes
         self.banks = ShadowBank()
@@ -213,9 +210,9 @@ class TaintTracker(Plugin):
     def taint_range(self, paddrs: Sequence[int], tag: Tag) -> None:
         """Append *tag* to the provenance of each byte in *paddrs*.
 
-        Decomposed into contiguous physical runs so array-backed shadow
-        pages take one bulk (interner-exact) tag op per run instead of a
-        per-byte get/append/set loop.
+        Decomposed into contiguous physical runs so the shadow takes one
+        bulk (interner-exact) tag op per run -- a slice write on each
+        flat shadow page -- instead of a per-byte get/append/set loop.
         """
         if not paddrs:
             return
@@ -273,7 +270,7 @@ class TaintTracker(Plugin):
         """Table I copy, plus the acting process' tag.
 
         Decomposed into runs where *both* sides are physically
-        consecutive, so array-page to array-page moves are slice copies
+        consecutive, so page-to-page moves are slice copies
         (:meth:`~repro.taint.shadow.ShadowMemory.copy_range` preserves
         the per-byte zip-order semantics and the interner accounting of
         the byte loop, including overlapping-range ripple).  The actor's

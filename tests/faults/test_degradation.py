@@ -32,6 +32,12 @@ from repro.faults.errors import (
     TaintBudgetExceeded,
 )
 from repro.faults.plan import InjectedMachineFault
+from repro.isa.cpu import AccessKind
+from repro.taint import shadow as shadow_module
+from repro.taint.intern import ProvInterner
+from repro.taint.policy import TaintPolicy
+from repro.taint.tags import Tag, TagType
+from repro.taint.tracker import TaintTracker
 
 from tests.conftest import register_asm, spawn_asm
 
@@ -140,6 +146,62 @@ class TestDegradedReport:
         report = faros.report()
         assert report.degraded is False
         assert report.to_json_dict()["fault"] is None
+
+
+#: Stores the union of two differently tainted words: with the code
+#: table capped at two lists, the store needs a third.
+MIX = """
+start:
+    movi r6, in_a
+    ld r1, [r6]
+    movi r6, in_b
+    ld r2, [r6]
+    add r3, r1, r2
+    movi r6, out
+    st [r6], r3
+    movi r7, 0
+loop:
+    addi r7, r7, 1
+    jmp loop
+in_a: .word 1
+in_b: .word 2
+out: .word 0
+"""
+
+
+class TestProvenanceCodeLimit:
+    """A shadow that needs more distinct provenance lists than its code
+    table holds ends the run in a classified fault, never a host
+    exception."""
+
+    def test_code_overflow_degrades_the_run(self, machine, monkeypatch):
+        monkeypatch.setattr(shadow_module, "MAX_PROV_CODES", 2)
+        tracker = machine.plugins.register(
+            TaintTracker(
+                policy=TaintPolicy(process_tags_on_access=False),
+                interner=ProvInterner(),
+            )
+        )
+        prog = register_asm(machine, "mix.exe", MIX)
+        proc = machine.kernel.spawn("mix.exe")
+        for label, tag in (("in_a", Tag(TagType.NETFLOW, 0)), ("in_b", Tag(TagType.FILE, 0))):
+            paddrs = proc.aspace.translate_range(prog.label(label), 4, AccessKind.READ)
+            tracker.taint_range(paddrs, tag)
+        stats = machine.run(max_instructions=10_000)
+        assert stats.stop_reason == "fault"
+        assert stats.fault.kind == "TaintBudgetExceeded"
+        assert stats.fault.classification == CLASS_DEGRADED
+        assert "provenance codes" in stats.fault.detail
+        assert tracker.shadow.tainted_bytes == 8  # the store wrote no taint
+
+    def test_code_overflow_degrades_an_attack_row(self, monkeypatch):
+        monkeypatch.setattr(shadow_module, "MAX_PROV_CODES", 4)
+        job = TriageJob(job_id=0, name="code_injection", kind="attack",
+                        params={"attack": "code_injection"})
+        result = execute_job(job)
+        assert result.status == STATUS_DEGRADED
+        assert result.fault["kind"] == "TaintBudgetExceeded"
+        assert result.fault["classification"] == CLASS_DEGRADED
 
 
 class TestTriageClassification:

@@ -9,6 +9,7 @@ import os
 import signal
 import time
 
+from repro.analysis import supervisor
 from repro.analysis.triage import TriageJob
 from repro.analysis.supervisor import (
     MAX_RESTART_BACKOFF,
@@ -203,6 +204,31 @@ def test_worker_survives_parent_directed_sigint(tmp_path):
         os.kill(worker.pid, signal.SIGINT)
         time.sleep(0.1)
         assert worker.alive()
+        worker.submit(_touch_job(1, log))
+        assert worker.conn.poll(_DEADLINE)
+        assert worker.conn.recv().status == "OK"
+    finally:
+        worker.close()
+
+
+def test_worker_ignores_sigint_while_it_sets_up(tmp_path, monkeypatch):
+    """SIGINT stays blocked across the fork until the child ignores it,
+    so a Ctrl-C that reaches a just-forked worker cannot kill it.  A
+    slow progress-sink install widens the child's set-up on purpose
+    while the parent signals it."""
+    install = supervisor.set_progress_sink
+
+    def slow_install(sink):
+        time.sleep(0.5)
+        install(sink)
+
+    monkeypatch.setattr(supervisor, "set_progress_sink", slow_install)
+    log = str(tmp_path / "log")
+    worker = SupervisedWorker()
+    try:
+        os.kill(worker.pid, signal.SIGINT)
+        time.sleep(0.2)
+        os.kill(worker.pid, signal.SIGINT)
         worker.submit(_touch_job(1, log))
         assert worker.conn.poll(_DEADLINE)
         assert worker.conn.recv().status == "OK"

@@ -164,7 +164,7 @@ class TestShadowHygiene:
     def test_clear_is_complete(self, n, start):
         from repro.taint.shadow import ShadowMemory
 
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set_range(start, n, (SEED_A,))
         shadow.clear_range(start, n)
         assert shadow.tainted_bytes == 0

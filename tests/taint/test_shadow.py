@@ -1,22 +1,21 @@
 """Unit tests for page-organised shadow memory and register banks.
 
-Besides the dict-form unit contracts, this file holds the Hypothesis
-property suites for the two-representation design:
-
-* **flag-cache invariant** -- after any interleaving of
-  set/clear/range/bulk/promote/demote ops, every page's summary word
-  equals the OR of its bytes' tag classes (and stays equal on the
-  cached re-probe);
-* **promote/demote round-trips** -- forcing pages across the
-  array/dict boundary never changes per-byte provenance, byte counts,
-  or summaries.
+Besides the unit contracts, this file holds the Hypothesis property
+suite for the flat shadow pages and their flag cache: after any
+interleaving of set/clear/range/bulk ops, every page's summary word
+equals the OR of its bytes' tag classes (and stays equal on the cached
+re-probe).  It also pins the code-table limit: an op that needs one
+provenance code too many raises ``TaintBudgetExceeded`` and leaves the
+shadow as it was.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faults.errors import TaintBudgetExceeded
 from repro.isa.registers import Reg
+from repro.taint import shadow as shadow_module
 from repro.taint.intern import ProvInterner
 from repro.taint.shadow import (
     SHADOW_PAGE_SHIFT,
@@ -36,63 +35,63 @@ F = Tag(TagType.FILE, 3)
 
 class TestShadowMemory:
     def test_default_empty(self):
-        assert ShadowMemory().get(0x1000) == ()
+        assert ShadowMemory(ProvInterner()).get(0x1000) == ()
 
     def test_set_get(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(0x10, (N,))
         assert shadow.get(0x10) == (N,)
         assert shadow.get(0x11) == ()
 
     def test_set_empty_removes_entry(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(0x10, (N,))
         shadow.set(0x10, ())
         assert shadow.tainted_bytes == 0
 
     def test_get_range_unions(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(0x10, (N,))
         shadow.set(0x12, (P,))
-        assert set(shadow.get_range(0x10, 4)) == {N, P}
+        assert set(shadow.get_bytes(range(0x10, 0x14))) == {N, P}
 
     def test_get_bytes_unions_scattered_addresses(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(0x10, (N,))
         shadow.set(0x9010, (P,))
         assert set(shadow.get_bytes((0x10, 0x9010))) == {N, P}
 
     def test_set_range(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set_range(0, 4, (N,))
         assert shadow.tainted_bytes == 4
 
     def test_set_range_empty_clears(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set_range(0, 4, (N,))
         shadow.set_range(0, 4, ())
         assert shadow.tainted_bytes == 0
 
     def test_clear_range(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set_range(0, 8, (N,))
         shadow.clear_range(2, 4)
         assert shadow.tainted_bytes == 4
 
     def test_tainted_bytes_counts_distinct_addresses(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(1, (N,))
         shadow.set(1, (P,))
         assert shadow.tainted_bytes == 1
 
     def test_items_yields_every_tainted_byte(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(3, (N,))
         shadow.set(SHADOW_PAGE_SIZE + 7, (P,))
         assert dict(shadow.items()) == {3: (N,), SHADOW_PAGE_SIZE + 7: (P,)}
 
     def test_snapshot_is_flat_copy(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set_range(10, 3, (N,))
         snap = shadow.snapshot()
         shadow.clear_range(10, 3)
@@ -101,22 +100,22 @@ class TestShadowMemory:
 
 class TestPageOrganisation:
     def test_clean_memory_has_no_dirty_pages(self):
-        assert ShadowMemory().dirty_pages() == []
+        assert ShadowMemory(ProvInterner()).dirty_pages() == []
 
     def test_dirty_page_index_tracks_population(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(5, (N,))
         shadow.set(3 * SHADOW_PAGE_SIZE + 1, (P,))
         assert shadow.dirty_pages() == [0, 3]
 
     def test_page_dropped_when_last_byte_clears(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         shadow.set(5, (N,))
         shadow.set(5, ())
         assert shadow.dirty_pages() == []
 
     def test_pages_clean_fast_exit(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         assert shadow.pages_clean((0, 1, 2, 3))
         shadow.set(SHADOW_PAGE_SIZE + 9, (N,))
         # Same page as the tainted byte: conservatively dirty.
@@ -125,12 +124,12 @@ class TestPageOrganisation:
         assert shadow.pages_clean((0, 1, 2, 3))
 
     def test_range_ops_span_page_boundaries(self):
-        shadow = ShadowMemory()
+        shadow = ShadowMemory(ProvInterner())
         start = SHADOW_PAGE_SIZE - 2
         shadow.set_range(start, 4, (N,))
         assert shadow.tainted_bytes == 4
         assert shadow.dirty_pages() == [0, 1]
-        assert shadow.get_range(start, 4) == (N,)
+        assert shadow.get_bytes(range(start, start + 4)) == (N,)
         shadow.clear_range(start, 4)
         assert shadow.tainted_bytes == 0 and shadow.dirty_pages() == []
 
@@ -139,22 +138,28 @@ class TestPageOrganisation:
         shadow = ShadowMemory(interner)
         shadow.set(0, interner.seed(N))
         shadow.set(1, interner.seed(P))
-        first = shadow.get_range(0, 2)
-        second = shadow.get_range(0, 2)
+        first = shadow.get_bytes(range(2))
+        second = shadow.get_bytes(range(2))
         assert first == (N, P)
         assert first is second  # memoised union, no fresh allocation
 
 
 ALL_TAGS = (N, P, E, F)
-MODES = ("auto", "array", "dict", "mixed")
 
-fc_addresses = st.integers(0, 2 * SHADOW_PAGE_SIZE - 1)
+#: Uniform over two pages, or clustered around the page boundaries so
+#: ops overwrite each other's bytes and straddle pages.
+fc_addresses = st.one_of(
+    st.integers(0, 2 * SHADOW_PAGE_SIZE - 1),
+    st.builds(
+        lambda page, off: page * SHADOW_PAGE_SIZE + off,
+        st.integers(1, 2),
+        st.integers(-64, 63),
+    ),
+)
 fc_provs = st.lists(st.sampled_from(ALL_TAGS), max_size=3, unique=True).map(tuple)
 fc_scatter = st.lists(fc_addresses, min_size=1, max_size=6).map(tuple)
-fc_pages = st.integers(0, 2)
 
-#: Any interleaving of the shadow API, *including* forced representation
-#: transitions, over a three-page physical window.
+#: Any interleaving of the shadow API over a three-page physical window.
 flag_ops = st.lists(
     st.one_of(
         st.tuples(st.just("set"), fc_addresses, fc_provs),
@@ -175,8 +180,6 @@ flag_ops = st.lists(
         ),
         st.tuples(st.just("set_bytes"), fc_scatter, fc_provs),
         st.tuples(st.just("clear_bytes"), fc_scatter),
-        st.tuples(st.just("promote_page"), fc_pages),
-        st.tuples(st.just("demote_page"), fc_pages),
     ),
     max_size=15,
 )
@@ -191,16 +194,14 @@ def summary_oracle(shadow, number):
     return mask
 
 
-def run_flag_ops(shadow, ops):
-    for op in ops:
-        getattr(shadow, op[0])(*op[1:])
-
-
 class TestFlagCacheInvariant:
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
+    @given(ops=flag_ops)
     @settings(max_examples=60, deadline=None)
-    def test_summary_equals_or_of_byte_classes(self, ops, mode):
-        shadow = ShadowMemory(ProvInterner(), mode=mode)
+    @example(ops=[("set_range", 0, 4, (N,)), ("set_range", 0, 4, (P,))])
+    @example(ops=[("set", 3, (N,)), ("copy_range", 0, 3, 1, None)])
+    @example(ops=[("set_range", 0, 8, (F,)), ("set", 4, (E,)), ("set", 4, (N,))])
+    def test_summary_equals_or_of_byte_classes(self, ops):
+        shadow = ShadowMemory(ProvInterner())
         for op in ops:
             getattr(shadow, op[0])(*op[1:])
             for number in range(3):
@@ -210,42 +211,43 @@ class TestFlagCacheInvariant:
                 assert shadow.page_summary(number) == expected
 
     @pytest.mark.slow
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
+    @given(ops=flag_ops)
     @settings(max_examples=400, deadline=None)
-    def test_summary_invariant_exhaustive(self, ops, mode):
-        self.test_summary_equals_or_of_byte_classes.hypothesis.inner_test(
-            self, ops, mode
-        )
+    def test_summary_invariant_exhaustive(self, ops):
+        self.test_summary_equals_or_of_byte_classes.hypothesis.inner_test(self, ops)
 
 
-class TestPromoteDemoteRoundTrip:
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_preserves_exact_provenance(self, ops, mode):
-        shadow = ShadowMemory(ProvInterner(), mode=mode)
-        run_flag_ops(shadow, ops)
+class TestCodeTableLimit:
+    """One provenance list past the code table's capacity raises the
+    classified budget fault before any byte changes."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            ("set", 5, (E,)),
+            ("set_bytes", (5, 6), (E,)),
+            ("set_range", 0, 64, (E,)),
+            ("append_range", 0, 64, E),
+            ("copy_range", 0x2000, 0, 64, E),
+        ],
+        ids=lambda op: op[0],
+    )
+    def test_overflow_raises_and_changes_nothing(self, monkeypatch, op):
+        monkeypatch.setattr(shadow_module, "MAX_PROV_CODES", 2)
+        shadow = ShadowMemory(ProvInterner())
+        shadow.set_range(0, 32, (N,))
+        shadow.set_range(32, 32, (P,))  # codes 1 and 2: the table is full
         before = shadow.snapshot()
-        tainted = shadow.tainted_bytes
-        for number in shadow.dirty_pages():
-            shadow.demote_page(number)
-        assert shadow.snapshot() == before
-        assert shadow.tainted_bytes == tainted
-        for number in shadow.dirty_pages():
-            shadow.promote_page(number)  # may decline (too many codes): fine
-        assert shadow.snapshot() == before
-        assert shadow.tainted_bytes == tainted
-        for number in range(3):
-            assert shadow.page_summary(number) == summary_oracle(shadow, number)
-        for paddr, prov in before.items():
-            assert shadow.get(paddr) == prov
-
-    @pytest.mark.slow
-    @given(ops=flag_ops, mode=st.sampled_from(MODES))
-    @settings(max_examples=400, deadline=None)
-    def test_round_trip_exhaustive(self, ops, mode):
-        self.test_round_trip_preserves_exact_provenance.hypothesis.inner_test(
-            self, ops, mode
+        with pytest.raises(TaintBudgetExceeded) as trip:
+            getattr(shadow, op[0])(*op[1:])
+        assert (trip.value.resource, trip.value.used, trip.value.budget) == (
+            "provenance codes",
+            3,
+            2,
         )
+        assert shadow.snapshot() == before
+        assert shadow.tainted_bytes == 64
+        assert shadow.dirty_pages() == [0]
 
 
 class TestShadowRegisters:
