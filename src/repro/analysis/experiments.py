@@ -275,54 +275,45 @@ class OverheadRow:
 
 
 def overhead_experiment(repeat: int = 3) -> List[OverheadRow]:
-    """E9: wall-clock replay cost with and without the FAROS plugin.
+    """E9: replay cost with and without the FAROS plugin.
 
     Machine construction happens outside the timed window -- the
     measured quantity is replay *execution*, matching how the paper
-    times PANDA replays.  Absolute numbers depend on the host; the
-    paper-shape claims are (a) FAROS is a multi-x slowdown on every
-    workload and (b) overhead grows with behavioural complexity.
+    times PANDA replays.  Each of *repeat* rounds replays plain, then
+    under FAROS, and each side keeps its best round, timed in process
+    CPU time: a round is not charged for time another process held the
+    CPU, and a busy spell hits both sides of a round alike.  Absolute
+    numbers depend on the host; the paper-shape claims are (a) FAROS is
+    a multi-x slowdown on every workload and (b) overhead grows with
+    behavioural complexity.
     """
     rows = []
     for app, behaviors in OVERHEAD_APPS:
         scenario = build_sample_scenario(
             app, behaviors, variant=0, max_instructions=2_000_000
         )
-
-        def plain():
+        plain_time = faros_time = float("inf")
+        instructions = 0
+        for _ in range(max(repeat, 1)):
             machine = scenario.build(())
-            start = time.perf_counter()
+            start = time.process_time()
             machine.run(scenario.max_instructions)
-            return time.perf_counter() - start
-
-        insns_box = {}
-
-        def with_faros():
+            plain_time = min(plain_time, time.process_time() - start)
             faros = Faros()
             machine = scenario.build((faros,))
-            start = time.perf_counter()
+            start = time.process_time()
             machine.run(scenario.max_instructions)
-            insns_box["n"] = faros.tracker.stats.instructions
-            return time.perf_counter() - start
-
-        plain_time = _best_time(plain, repeat)
-        faros_time = _best_time(with_faros, repeat)
+            faros_time = min(faros_time, time.process_time() - start)
+            instructions = faros.tracker.stats.instructions
         rows.append(
             OverheadRow(
                 application=app,
                 replay_seconds=plain_time,
                 faros_seconds=faros_time,
-                instructions=insns_box.get("n", 0),
+                instructions=instructions,
             )
         )
     return rows
-
-
-def _best_time(fn: Callable[[], float], repeat: int) -> float:
-    """Best (minimum) of *repeat* timed runs.  *fn* measures one run and
-    returns its seconds -- machine construction stays outside the timed
-    window, matching how the paper times PANDA replays."""
-    return min(fn() for _ in range(max(repeat, 1)))
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,17 @@ class AddressSpace:
         return (entry.frame << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
 
     def translate_range(self, vaddr: int, n: int, access: AccessKind) -> Tuple[int, ...]:
-        """Translate each byte of an *n*-byte buffer (kernel copy helper)."""
-        return tuple(self.translate(vaddr + i, access) for i in range(n))
+        """Translate each byte of an *n*-byte buffer (kernel copy helper),
+        one guest page at a time: a fault names the buffer's first byte
+        on the faulting page."""
+        paddrs: List[int] = []
+        pos, end = vaddr, vaddr + n
+        while pos < end:
+            run = min(end - pos, PAGE_SIZE - (pos & (PAGE_SIZE - 1)))
+            paddr = self.translate(pos, access)
+            paddrs += range(paddr, paddr + run)
+            pos += run
+        return tuple(paddrs)
 
     # -- mapping operations ---------------------------------------------------------
 

@@ -17,6 +17,7 @@ plus small composable snippet builders for the recurring idioms
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable
 
@@ -31,6 +32,7 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name).upper()
 
 
+@functools.lru_cache(maxsize=None)
 def prelude() -> str:
     """The standard ``.equ`` block every guest program should include."""
     lines = ["; ---- standard guest prelude ----"]

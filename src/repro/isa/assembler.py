@@ -144,6 +144,8 @@ def _first_pass(source: str, base: int) -> Tuple[List[_Item], Dict[str, int], Di
 
 def _strip_comment(line: str) -> str:
     """Remove ``;`` comments, honouring string literals."""
+    if '"' not in line:
+        return line.partition(";")[0]
     out = []
     in_string = False
     for ch in line:

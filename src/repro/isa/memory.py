@@ -103,7 +103,7 @@ class PhysicalMemory:
         """Current write-version of *page* (0 while unwatched/untouched)."""
         return self._code_versions.get(page, 0)
 
-    def _bump_range(self, paddr: int, n: int) -> None:
+    def _advance_code_versions(self, paddr: int, n: int) -> None:
         """Bump the version of every watched page overlapping the write."""
         cv = self._code_versions
         for page in range(paddr >> PAGE_SHIFT, (paddr + n - 1 >> PAGE_SHIFT) + 1):
@@ -157,14 +157,14 @@ class PhysicalMemory:
         self._check(paddr, len(data))
         self._buf[paddr : paddr + len(data)] = data
         if self._code_versions and data:
-            self._bump_range(paddr, len(data))
+            self._advance_code_versions(paddr, len(data))
 
     def fill(self, paddr: int, n: int, value: int = 0) -> None:
         """Set *n* bytes starting at *paddr* to *value*."""
         self._check(paddr, n)
         self._buf[paddr : paddr + n] = bytes([value & 0xFF]) * n
         if self._code_versions and n:
-            self._bump_range(paddr, n)
+            self._advance_code_versions(paddr, n)
 
     def _check(self, paddr: int, n: int) -> None:
         if paddr < 0 or n < 0 or paddr + n > self.size:

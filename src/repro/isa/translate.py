@@ -79,14 +79,15 @@ instead executes the same cached blocks, each one of two ways:
 The fetch step (:func:`_compile_fetch`) is the one place fetch
 cleanliness is decided, per instruction and byte-precisely.  It is the
 interpreter's step 1 -- append the process tag to each tainted fetch
-byte, union them into ``insn_prov`` -- memoised on the fetch shadow
-pages' mutation epoch, so a steady-state loop pays one epoch compare
-per instruction whether its bytes are clean or file-tagged (every image
-FAROS loads is: ``Kernel.spawn`` reads it through the file hook).  Any
-change to those bytes' provenance bumps the epoch and the next fetch
-step rescans; a store that writes them also rewrites the watched code page
-and ends the block at that store (``"smc"``).  The replay record is
-keyed on the same epoch plus the process tag.  Page-straddling
+byte, union them into ``insn_prov`` -- memoised on the instruction's
+own 24 shadow-code bytes (3 per fetch byte) plus the process tag, so a
+steady-state loop pays one slice compare per instruction whether its
+bytes are clean or file-tagged (every image FAROS loads is:
+``Kernel.spawn`` reads it through the file hook).  Only a change to
+those codes forces a rescan, not taint landing beside them; a store
+that writes the bytes also rewrites the watched code page and ends the
+block at that store (``"smc"``).  The replay record is keyed on the
+block's fetch codes plus the process tag.  Page-straddling
 instructions run like any other; no retirement steps through the
 interpreter.  See ``docs/taint_model.md`` for the dispatch picture.
 
@@ -152,6 +153,9 @@ SHADOW_PAGE_SHIFT: Optional[int] = None
 _EMPTY_PROV: Tuple = ()
 _LoadObservation = None
 
+#: The shadow codes of one clean instruction: 3 zero bytes per fetch byte.
+_CLEAN_CODES = bytes(3 * INSTRUCTION_SIZE)
+
 
 def _load_taint_runtime() -> None:
     global SHADOW_PAGE_SHIFT, _EMPTY_PROV, _LoadObservation
@@ -204,8 +208,7 @@ class TranslatedBlock:
         "taint_body",
         "taint_term",
         "taint_ctx",
-        "fetch_shadow_page",
-        "fetch_tail_page",
+        "fetch_bytes",
         "replay",
     )
 
@@ -259,14 +262,12 @@ class TranslatedBlock:
         #: The block-taint context the fused closures were compiled
         #: against (their fetch memos are per tracker).
         self.taint_ctx = None
-        #: The shadow pages of the first and last fetch byte.  A 256-byte
-        #: MMU page never straddles a 4 KiB shadow page, so they differ
-        #: only for a straddling instruction whose two frames lie in
-        #: different shadow pages.  Set by :meth:`ensure_taint`.
-        self.fetch_shadow_page = -1
-        self.fetch_tail_page = -1
+        #: The block's fetch byte addresses in fetch order: a range, or a
+        #: straddling instruction's two runs as a tuple.  Set by
+        #: :meth:`ensure_taint`.
+        self.fetch_bytes: Sequence[int] = ()
         #: The block-replay record (:meth:`BlockTranslator._replay`):
-        #: ``(fetch epoch, slow retirements, interner lookups, process
+        #: ``(fetch codes, slow retirements, interner lookups, process
         #: tag)`` of a fused run that moved nothing but counters.
         self.replay: Optional[Tuple] = None
 
@@ -283,16 +284,6 @@ class TranslatedBlock:
             self.cpu.mmu.translate(vaddr, AccessKind.FETCH) == paddr
             and self._code_version(paddr >> PAGE_SHIFT) == version
         )
-
-    def fetch_page_epoch(self, epochs: Dict[int, int]) -> int:
-        """The fetch shadow pages' mutation epoch, from the live
-        ``page number -> epoch`` table.  Two pages add their epochs:
-        epochs only grow, so an unchanged sum means neither page changed.
-        """
-        epoch = epochs.get(self.fetch_shadow_page, 0)
-        if self.fetch_tail_page != self.fetch_shadow_page:
-            epoch += epochs.get(self.fetch_tail_page, 0)
-        return epoch
 
     def execute(self, budget: int) -> str:
         """Run up to *budget* instructions of this block.
@@ -369,7 +360,7 @@ class TranslatedBlock:
         iterations can change inside the loop:
 
         * a pure block makes no store, so it cannot write a code page
-          (no SMC) or bump a shadow epoch, and it cannot fault;
+          (no SMC) or change a shadow code, and it cannot fault;
         * it makes no syscall, so no remap happens, and events are
           delivered only between slices;
         * so the FETCH translation, the code version and the block
@@ -406,13 +397,11 @@ class TranslatedBlock:
         only ever run uninstrumented, and the taint runtime itself is a
         lazy import (see :func:`_load_taint_runtime`).  The closures'
         fetch memos and the replay record hold one tracker's shadow
-        epochs and interner counts, so a block reached through another
+        codes and interner counts, so a block reached through another
         tracker's context is compiled afresh and forgets them.
         """
         _load_taint_runtime()
         start = self.start_paddr
-        # The block's fetch byte addresses in fetch order: a range, or
-        # two runs on two frames for a straddling instruction.
         if self.tail is None:
             fetch_bytes = range(start, start + self.n_insns * INSTRUCTION_SIZE)
         else:
@@ -421,21 +410,20 @@ class TranslatedBlock:
             fetch_bytes = tuple(range(start, start + head)) + tuple(
                 range(tail_paddr, tail_paddr + INSTRUCTION_SIZE - head)
             )
-        self.fetch_shadow_page = fetch_bytes[0] >> SHADOW_PAGE_SHIFT
-        self.fetch_tail_page = fetch_bytes[-1] >> SHADOW_PAGE_SHIFT
+        self.fetch_bytes = fetch_bytes
         self.replay = None
         cpu = self.cpu
         taint_body: List[Callable] = []
         pc = self.start_pc
         for i, insn in enumerate(self.insns):
             insn_bytes = fetch_bytes[i * INSTRUCTION_SIZE : (i + 1) * INSTRUCTION_SIZE]
-            taint_body.append(_compile_taint(insn, cpu, pc, i, insn_bytes, ctx))
+            taint_body.append(_compile_taint(insn, cpu, pc, i, insn_bytes))
             pc = (pc + INSTRUCTION_SIZE) & MASK32
         # Only "fall" blocks lack a terminator, and they never run one.
         self.taint_term = (
             _compile_taint_term(
                 self.term_insn,
-                _compile_fetch(fetch_bytes[self.n_body * INSTRUCTION_SIZE :], ctx),
+                _compile_fetch(fetch_bytes[self.n_body * INSTRUCTION_SIZE :]),
             )
             if self.term_insn is not None
             else None
@@ -780,95 +768,119 @@ def _compile_term(insn: Instruction, cpu: CPU, fall_pc: int) -> Callable[[], int
 # fault leaves both machine and taint state exactly pre-instruction.
 
 
-def _compile_fetch(paddrs: Sequence[int], ctx) -> Callable[[], Optional[Tuple]]:
+def _fetch_codes(pages: Dict, paddrs: Sequence[int]) -> bytearray:
+    """The shadow codes of fetch bytes *paddrs*, 3 bytes per address in
+    fetch order, from the live shadow page table *pages* (absent page:
+    code 0, clean).  A range lies on one shadow page (a guest page never
+    straddles one): one slice.  A straddling instruction's tuple of two
+    runs reads byte by byte.
+    """
+    shift = SHADOW_PAGE_SHIFT
+    if type(paddrs) is range:
+        first = paddrs[0]
+        page = pages.get(first >> shift)
+        if page is None:
+            return bytearray(3 * len(paddrs))
+        a3 = (first - (first >> shift << shift)) * 3
+        return page.tags[a3 : a3 + 3 * len(paddrs)]
+    codes = bytearray()
+    for paddr in paddrs:
+        page = pages.get(paddr >> shift)
+        off = (paddr - (paddr >> shift << shift)) * 3
+        codes += page.tags[off : off + 3] if page is not None else bytes(3)
+    return codes
+
+
+def _compile_fetch(paddrs: Sequence[int]) -> Callable:
     """Interpreter step 1 for the instruction fetched from *paddrs* (its
     8 physical byte addresses, in fetch order), memoised.
 
     This is the taint tier's only fetch-cleanliness decision.  The
-    closure returns ``None`` when the instruction's own fetch bytes are
-    clean -- byte-precisely, whatever else their shadow page holds:
-    step 1 collects nothing and the all-clean gate may still pass.
-    Otherwise it enters the slow path in interpreter order -- count the
-    slow retirement, mint the process tag, append the tag to each
-    tainted fetch byte and union the bytes into ``insn_prov`` -- and
-    returns ``insn_prov``.
+    closure takes the slice's context and returns ``None`` when the
+    instruction's own fetch bytes are clean -- byte-precisely, whatever
+    else their shadow page holds: step 1 collects nothing and the
+    all-clean gate may still pass.  Otherwise it enters the slow path in
+    interpreter order -- count the slow retirement, mint the process
+    tag, then :func:`_fetch_scan` -- and returns ``insn_prov``.
 
-    The memo is keyed by the fetch shadow pages' epoch (summed when a
-    straddling instruction's two frames sit on two shadow pages); a
-    tainted verdict is also keyed by the process tag, compared by value
-    (``TagStore.process_tag`` returns a fresh ``Tag`` per call).  Every
-    content change on the pages bumps their epoch, so a clean verdict
-    holds exactly while the epoch does.  A tainted verdict is recorded
-    only after a scan that changed no shadow byte, and such a scan
-    repeats identically while the epoch holds.  The interner never
-    evicts, so every memoised lookup in the repeated scan would hit: a
-    memo hit returns the cached ``insn_prov`` and adds the recorded
-    lookup count to ``interner.hits``.  Shadow state, interner counters,
-    stats and the process-tag mint order stay bit-identical to
+    The memo is keyed by the bytes' own 24 shadow-code bytes
+    (:func:`_fetch_codes`; all zero means clean) and the process tag,
+    compared by value (``TagStore.process_tag`` returns a fresh ``Tag``
+    per call).  It is recorded only after a scan that changed no code,
+    and such a scan repeats identically while the key holds: a code
+    names the same provenance list for the shadow's whole life (its
+    code table only grows), and the interner never evicts, so every
+    memoised lookup in it would hit.  A memo hit returns the cached
+    ``insn_prov`` and adds the recorded lookup count to
+    ``interner.hits``.  Shadow state, interner counters, stats and the
+    process-tag mint order stay bit-identical to
     :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
     """
-    page = paddrs[0] >> SHADOW_PAGE_SHIFT
-    tail_page = paddrs[-1] >> SHADOW_PAGE_SHIFT
-    split = tail_page != page
-    epochs = ctx.page_epochs
-    shadow = ctx.shadow
-    bytes_clean = shadow.bytes_clean
-    get_byte = shadow.get
-    set_byte = shadow.set
-    stats = ctx.stats
-    interner = ctx.interner
-    append = ctx.append
-    union = ctx.union
-    get_proc_tag = ctx.get_proc_tag
-    EMPTY = _EMPTY_PROV
-    memo_epoch = -1
-    memo_tag = None
-    memo_prov = None  # None: the bytes were clean at memo_epoch
-    memo_lookups = 0
+    memo: List = [None, None, None, 0]  # codes, process tag, insn_prov, lookups
 
-    def fetch():
-        nonlocal memo_epoch, memo_tag, memo_prov, memo_lookups
-        epoch = epochs.get(page, 0)
-        if split:
-            epoch += epochs.get(tail_page, 0)
-        if epoch == memo_epoch:
-            if memo_prov is None:
-                return None
-            stats.slow_retirements += 1
-            tag = get_proc_tag()
-            if tag is memo_tag or tag == memo_tag:
-                memo_tag = tag  # later compares in this slice are identity
-                interner.hits += memo_lookups
-                return memo_prov
-        elif bytes_clean(paddrs):
-            memo_epoch, memo_prov = epoch, None
+    def fetch(ctx):
+        codes = _fetch_codes(ctx.dirty_pages, paddrs)
+        if codes == memo[0]:
+            ctx.stats.slow_retirements += 1
+            tag = ctx.get_proc_tag()
+            if tag is memo[1] or tag == memo[1]:
+                memo[1] = tag  # later compares in this slice are identity
+                ctx.interner.hits += memo[3]
+                return memo[2]
+        elif codes == _CLEAN_CODES:
             return None
         else:
-            stats.slow_retirements += 1
-            tag = get_proc_tag()
-        lookups = interner.hits + interner.misses
-        insn_prov = EMPTY
-        for paddr in paddrs:
-            prov = get_byte(paddr)
-            if prov:
-                if tag is not None:
-                    new = append(prov, tag)
-                    if new is not prov:
-                        set_byte(paddr, new)
-                        stats.process_tag_appends += 1
-                        prov = new
-                insn_prov = union(insn_prov, prov)
-        after = epochs.get(page, 0)
-        if split:
-            after += epochs.get(tail_page, 0)
-        if after == epoch:
-            memo_epoch, memo_tag, memo_prov = epoch, tag, insn_prov
-            memo_lookups = interner.hits + interner.misses - lookups
-        else:
-            memo_epoch = -1  # the scan appended tags: the next one differs
-        return insn_prov
+            ctx.stats.slow_retirements += 1
+            tag = ctx.get_proc_tag()
+        return _fetch_scan(ctx, paddrs, codes, tag, memo)
 
     return fetch
+
+
+def _fetch_scan(ctx, paddrs: Sequence[int], codes: bytearray, tag, memo: List) -> Tuple:
+    """The scan of interpreter step 1, for a fetch its memo could not
+    answer: append *tag* to each tainted fetch byte (*codes* are their
+    shadow codes) and union the bytes' provenance into ``insn_prov``.
+
+    Bytes that are one run on one shadow page with one code (every
+    file-tagged image) take the per-byte loop's work in bulk: one
+    memoised ``append``, the 7 interner hits its repeats would score and
+    one ``set_range``.  Mixed codes and straddling instructions take the
+    loop.  A scan that changed no code records the memo.
+    """
+    shadow = ctx.shadow
+    stats = ctx.stats
+    interner = ctx.interner
+    lookups = interner.hits + interner.misses
+    appends = stats.process_tag_appends
+    if type(paddrs) is range and codes[3:] == codes[:-3]:
+        insn_prov = shadow.get(paddrs[0])
+        if tag is not None:
+            new = ctx.append(insn_prov, tag)
+            n = len(paddrs)
+            if new is not insn_prov:
+                shadow.set_range(paddrs[0], n, new)
+                stats.process_tag_appends += n
+                insn_prov = new
+            interner.hits += n - 1
+    else:
+        insn_prov = _EMPTY_PROV
+        for paddr in paddrs:
+            prov = shadow.get(paddr)
+            if prov:
+                if tag is not None:
+                    new = ctx.append(prov, tag)
+                    if new is not prov:
+                        shadow.set(paddr, new)
+                        stats.process_tag_appends += 1
+                        prov = new
+                insn_prov = ctx.union(insn_prov, prov)
+    if stats.process_tag_appends == appends:
+        memo[0] = bytes(codes)
+        memo[1] = tag
+        memo[2] = insn_prov
+        memo[3] = interner.hits + interner.misses - lookups
+    return insn_prov
 
 
 def _taint_epilogue(ctx) -> None:
@@ -948,16 +960,15 @@ def _compile_taint(
     insn_pc: int,
     index: int,
     fetch_paddrs: Sequence[int],
-    ctx,
 ) -> Callable:
     """Compile one non-terminating instruction into a fused taint closure.
 
     *index* is the instruction's position in its block and
     *fetch_paddrs* its 8 fetch byte addresses.  The closure takes the
-    slice's :class:`~repro.taint.tracker.BlockTaintContext` (*ctx*,
-    whose tracker the fetch memo belongs to) and, like the plain
-    closures, returns ``True`` for a retired store (the executor
-    re-checks the code version) and ``None`` otherwise.
+    slice's :class:`~repro.taint.tracker.BlockTaintContext` (whose
+    tracker the fetch memo belongs to) and, like the plain closures,
+    returns ``True`` for a retired store (the executor re-checks the
+    code version) and ``None`` otherwise.
     """
     op = insn.op
     v = cpu.regs._values
@@ -965,7 +976,7 @@ def _compile_taint(
     rs1 = int(insn.rs1)
     shift = SHADOW_PAGE_SHIFT
     EMPTY = _EMPTY_PROV
-    fetch = _compile_fetch(fetch_paddrs, ctx)
+    fetch = _compile_fetch(fetch_paddrs)
 
     if op in (Op.LD, Op.LDB, Op.POP):
         disp = signed32(insn.imm)
@@ -1005,9 +1016,9 @@ def _compile_taint(
             v[rd] = value
             if pop:
                 v[_SP] = (vaddr + 4) & MASK32
-            # Tainted fetch bytes fail the all-clean gate: fetch() has
+            # Tainted fetch bytes fail the all-clean gate: fetch(ctx) has
             # then already entered the slow path and run step 1.
-            insn_prov = fetch()
+            insn_prov = fetch(ctx)
             stats = ctx.stats
             bank = ctx.bank
             if insn_prov is None:
@@ -1097,7 +1108,7 @@ def _compile_taint(
             if push:
                 v[_SP] = vaddr
             bank = ctx.bank
-            if fetch() is None:
+            if fetch(ctx) is None:
                 if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                     dirty = ctx.dirty_pages
                     if not dirty:
@@ -1131,7 +1142,7 @@ def _compile_taint(
     def fused(ctx) -> None:
         arch()
         bank = ctx.bank
-        if fetch() is None:
+        if fetch(ctx) is None:
             if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                 return
             ctx.stats.slow_retirements += 1
@@ -1158,7 +1169,7 @@ def _compile_taint_term(insn: Instruction, fetch: Callable) -> Callable:
 
     def term_taint(ctx) -> None:
         bank = ctx.bank
-        if fetch() is None:
+        if fetch(ctx) is None:
             if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
                 return
             ctx.stats.slow_retirements += 1
@@ -1445,19 +1456,20 @@ class BlockTranslator:
         over ``EMPTY`` (``union(EMPTY, EMPTY)`` counts no lookup), no
         window can arm, and only the fetch step's tag appends touch the
         shadow.  A fused run that retires the whole block and leaves the
-        fetch pages' epoch unchanged made no append, so the record it
-        leaves -- its slow retirements and interner lookups, keyed by
-        that epoch and the process tag (by value) -- repeats exactly
-        while the key holds: epochs only grow, and the interner never
-        evicts, so every recorded lookup would now hit.
+        shadow codes of its fetch bytes (:func:`_fetch_codes`) unchanged
+        made no append, so the record it leaves -- its slow retirements
+        and interner lookups, keyed by those codes and the process tag
+        (by value) -- repeats exactly while the key holds: a code names
+        the same provenance list for the shadow's whole life, and the
+        interner never evicts, so every recorded lookup would now hit.
 
         A replay runs the plain closures and adds the lookups to
         ``interner.hits``, the slow count to ``slow_retirements`` and
         the rest of the block to ``fast_retirements``; the process tag
         is minted (the interpreter's first slow retirement mints it)
         only when the record holds slow retirements.  Over clean fetch
-        bytes the record is ``(epoch, 0, 0, None)``: every retirement
-        fast, no lookup, no tag minted.
+        bytes the record is ``(zero codes, 0, 0, None)``: every
+        retirement fast, no lookup, no tag minted.
 
         A self-loop replays its record once per iteration it runs in
         place (:meth:`TranslatedBlock.iterate`): k iterations add
@@ -1471,10 +1483,10 @@ class BlockTranslator:
         cpu = block.cpu
         stats = ctx.stats
         interner = ctx.interner
-        epochs = ctx.page_epochs
-        epoch = block.fetch_page_epoch(epochs)
+        pages = ctx.dirty_pages
+        codes = _fetch_codes(pages, block.fetch_bytes)
         record = block.replay
-        if record is not None and record[0] == epoch:
+        if record is not None and record[0] == codes:
             _, slow, lookups, tag = record
             proc_tag = ctx.get_proc_tag() if slow else None
             if proc_tag is tag or proc_tag == tag:
@@ -1501,11 +1513,11 @@ class BlockTranslator:
         reason = block.execute_taint(budget, ctx)
         if (
             cpu.instret - before == block.n_insns
-            and block.fetch_page_epoch(epochs) == epoch
+            and _fetch_codes(pages, block.fetch_bytes) == codes
         ):
             slow = stats.slow_retirements - slow0
             block.replay = (
-                epoch,
+                bytes(codes),
                 slow,
                 interner.hits + interner.misses - lookups0,
                 ctx.get_proc_tag() if slow else None,

@@ -27,10 +27,11 @@ maps (§V-A).  Ours are:
   (the flag cache): the OR of its bytes' tag-class bits
   (:data:`SUMMARY_NETFLOW` / :data:`SUMMARY_PROCESS` /
   :data:`SUMMARY_FILE` / :data:`SUMMARY_EXPORT`), so the detector's
-  confluence pre-check is a single mask test, plus per-page epoch
-  counters that let the block translator memoise each instruction's
-  byte-precise fetch verdict, and each pure block's replay record,
-  across dispatches.
+  confluence pre-check is a single mask test.  A code names the same
+  provenance list for the shadow's whole life (the code table only
+  grows), so a slice of codes is a value key: the block translator
+  memoises each instruction's fetch verdict, and each pure block's
+  replay record, on the codes of their own fetch bytes.
 
 * :class:`ShadowRegisters` -- one provenance list per architectural
   register, *per thread*, with a ``tainted`` count for the tracker's
@@ -154,7 +155,6 @@ class ShadowMemory:
         "_enc",
         "_class_of",
         "_summaries",
-        "_epochs",
         "summary_hits",
         "summary_misses",
     )
@@ -173,11 +173,6 @@ class ShadowMemory:
         self._class_of: List[int] = [0]
         #: flag cache: page number -> summary word (absent = not cached).
         self._summaries: Dict[int, int] = {}
-        #: page number -> mutation epoch (absent = 0): bumped on every
-        #: content change, page deletion included -- so an unchanged
-        #: epoch certifies any cached verdict about the page's bytes
-        #: (the block translator's fetch memos and replay records).
-        self._epochs: Dict[int, int] = {}
         self.summary_hits = 0
         self.summary_misses = 0
 
@@ -217,17 +212,12 @@ class ShadowMemory:
         page.count -= removed
         self._count -= removed
         self._sum_drop(number)
-        self._bump(number)
         if not page.count:
             del self._pages[number]
 
     # ------------------------------------------------------------------
-    # flag cache / epochs
+    # flag cache
     # ------------------------------------------------------------------
-
-    def _bump(self, number: int) -> None:
-        epochs = self._epochs
-        epochs[number] = epochs.get(number, 0) + 1
 
     def page_summary(self, number: int) -> int:
         """Summary word of page *number*: OR of its bytes' class masks.
@@ -294,7 +284,6 @@ class ShadowMemory:
                 page.count += 1
                 self._count += 1
                 self._sum_or(number, self._class_of[code])
-        self._bump(number)
 
     # ------------------------------------------------------------------
     # contiguous (start, length) ranges
@@ -332,7 +321,6 @@ class ShadowMemory:
                 self._sum_drop(number)
             else:
                 self._sum_or(number, mask)
-            self._bump(number)
 
     def clear_range(self, start: int, length: int) -> None:
         pages = self._pages
@@ -378,7 +366,6 @@ class ShadowMemory:
                 interner.hits += run - 1
                 tags[a3:b3] = self._enc[code] * run
                 self._sum_or(number, self._class_of[code])
-                self._bump(number)
                 continue
             # mixed run: memoise per distinct source code; repeats are
             # the hits the per-byte memoised append would have scored.
@@ -406,7 +393,6 @@ class ShadowMemory:
             page.count += added
             self._count += added
             self._sum_or(number, mask)
-            self._bump(number)
 
     def copy_range(self, dst: int, src: int, length: int, tag: Optional[Tag] = None) -> int:
         """``dst[i] <- src[i]`` tag copy (``append(tag)`` en route if given).
@@ -499,7 +485,6 @@ class ShadowMemory:
         dpage.count += entries - removed
         self._count += entries - removed
         self._sum_drop(dn)
-        self._bump(dn)
         return appends
 
     # ------------------------------------------------------------------

@@ -541,8 +541,8 @@ class BlockTaintContext:
     same listener observations (``tests/taint/test_differential.py``
     enforces all four).  The context therefore exposes the tracker's own
     bound state (the live pending-control dict, the interner's union and
-    append, the shadow page table for gate probes, the page-epoch table
-    the fetch memos key on) rather than copies.
+    append, the shadow page table for gate probes and for the fetch
+    codes the fetch memos and replay records key on) rather than copies.
 
     ``get_proc_tag`` is **lazy** on purpose: the interpreter mints the
     executing process' tag at the first slow-path instruction, and tag
@@ -559,7 +559,6 @@ class BlockTaintContext:
         "bank",
         "shadow",
         "dirty_pages",
-        "page_epochs",
         "pending",
         "stats",
         "interner",
@@ -581,11 +580,9 @@ class BlockTaintContext:
         #: The live shadow page table; ``number in dirty_pages`` is the
         #: data-access cleanliness probe of the all-clean gate
         #: (decision-identical to
-        #: :meth:`~repro.taint.shadow.ShadowMemory.pages_clean`).
+        #: :meth:`~repro.taint.shadow.ShadowMemory.pages_clean`), and its
+        #: pages' code slices key the fetch memos and replay records.
         self.dirty_pages = tracker.shadow._pages
-        #: The live page-epoch table (``number -> epoch``, absent = 0;
-        #: epochs only grow, bumped on every content change).
-        self.page_epochs = tracker.shadow._epochs
         self.pending = tracker._pending_control
         self.stats = tracker.stats
         self.interner = tracker.interner

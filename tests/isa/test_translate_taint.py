@@ -15,8 +15,11 @@ taint tier's local contracts on whole machines carrying a lone
   whose own bytes carry taint runs fused through the fetch step, a
   store that taints the fetch bytes ends its block precisely (via the
   code-version bump, since tainting fetched bytes means writing them),
-  and code tainted or cleaned between slices without being written is
-  rescanned, because the provenance change bumps the memo's epoch;
+  code tainted or cleaned between slices without being written is
+  rescanned, because the provenance change moves the instruction's own
+  shadow codes, the memo's key, and taint landing beside the code
+  (even one byte away, on its shadow page) rescans nothing and stops
+  no block replay;
 * every fused operand shape (moves, ALU, compares, loads/stores, stack
   traffic, calls) leaves bit-identical tracker state vs the
   instrumented interpreter;
@@ -51,7 +54,7 @@ from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 from repro.isa.translate import BlockTranslator
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
-from repro.taint.shadow import SHADOW_PAGE_SIZE
+from repro.taint.shadow import SHADOW_PAGE_SIZE, ShadowMemory
 from repro.taint.tags import Tag, TagType
 from repro.taint.tracker import TaintTracker
 
@@ -106,8 +109,9 @@ def run_one(
     Each seed is ``(label, n)`` (seeded with the NETFLOW :data:`SEED`)
     or ``(label, n, tag)`` for attack-shaped plants (export tags etc.).
     Each code event is ``(tick, label, n, tag)``: a scheduled
-    :class:`_CodeTaintEvent` over *n* bytes at *label*.  A *load_log*
-    list receives every load observation as ``(machine.now, insn_prov)``.
+    :class:`_CodeTaintEvent` over *n* bytes at *label*.  A label may
+    carry a byte offset, ``"loop+3"``.  A *load_log* list receives
+    every load observation as ``(machine.now, insn_prov)``.
     """
     machine = Machine(MachineConfig(translate=translate, **config_kw))
     tracker = TaintTracker(
@@ -122,7 +126,10 @@ def run_one(
     proc = machine.kernel.spawn("t.exe")
 
     def paddrs(label, n):
-        return proc.aspace.translate_range(prog.label(label), n, AccessKind.READ)
+        name, _, offset = label.partition("+")
+        return proc.aspace.translate_range(
+            prog.label(name) + int(offset or 0), n, AccessKind.READ
+        )
 
     for label, n, *rest in seeds:
         tracker.taint_range(paddrs(label, n), rest[0] if rest else SEED)
@@ -230,8 +237,7 @@ class TestArmedButCleanStaysTranslated:
 #: The store lands one guest page past the code (no code-page version
 #: bump, so not SMC) but inside the code's 4 KiB shadow page.  The
 #: shadow page goes dirty, yet the block's *fetch bytes* stay clean:
-#: each fetch step rescans its bytes once per epoch and finds them
-#: clean.
+#: each fetch step reads its own all-zero codes and passes.
 DIRTY_OWN_PAGE = """
 start:
     movi r5, 8
@@ -673,10 +679,10 @@ class TestBlockReplay:
         assert on[1].banks.snapshot()  # the window reached the registers
 
     def test_second_tracker_gets_no_stale_replay(self):
-        # The first tracker records the loop block at its code page's
-        # epoch; the second starts at the same epoch with only one of
-        # the block's instructions tagged, so a record carried over
-        # would replay five slow retirements where one is right.
+        # The first tracker records the loop block over its tagged
+        # codes; the second tracker's shadow tags only one of the
+        # block's instructions, so a record carried over would replay
+        # five slow retirements where one is right.
         policy = TaintPolicy(process_tags_on_access=False)
         results = {}
         for translate in (True, False):
@@ -822,7 +828,7 @@ class TestFetchStepDecidesCleanliness:
     def test_code_tainted_between_slices_is_rescanned(self, body, seed, loop_bytes):
         # The loop runs over clean code, its instruction bytes are then
         # tagged by a channel event (no code write, so no SMC), and later
-        # cleaned again: every fetch memo must see both epoch changes.
+        # cleaned again: every fetch memo must see both code changes.
         events = [(151, "loop", loop_bytes, CODE_TAG), (251, "loop", loop_bytes, None)]
         (machine, tracker, _), log = observed_pair(body, [(seed, 4)], events)
         assert tracker.stats.process_tag_appends > 0
@@ -831,6 +837,95 @@ class TestFetchStepDecidesCleanliness:
             assert taint_stats(machine)["taint_block_replays"] > 0
         else:
             assert any(CODE_TAG in prov for _, prov in log)
+
+
+#: A long pure loop over file-tagged code, with a data word just past
+#: it on the loop's own 4 KiB shadow page.
+PURE_LOOP_NEAR = """
+start:
+    movi r5, 800
+loop:
+    addi r1, r1, 3
+    muli r2, r1, 5
+    xor r3, r1, r2
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    jmp park
+near: .word 0
+"""
+
+#: The same layout around a loop that loads from a clean shadow page:
+#: its block is not pure, so it runs fused, through its fetch steps.
+LOAD_LOOP_NEAR = """
+start:
+    movi r5, 400
+    movi r6, far
+loop:
+    ld r1, [r6]
+    addi r2, r1, 1
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    jmp park
+near: .word 0
+pad: .space 8192
+far: .word 7
+"""
+
+#: Taint landing on ``near`` while either loop runs, a new tag each time.
+NEAR_EVENTS = [
+    (tick, "near", 4, Tag(TagType.NETFLOW, 20 + i))
+    for i, tick in enumerate(range(301, 2000, 300))
+]
+
+
+class TestFetchCodesKeyTheMemos:
+    """The fetch memos and replay records key on the fetch bytes' own
+    shadow codes: taint landing beside the code on its shadow page
+    leaves them standing, and a change to any one of the 8 bytes
+    reaches the next fetch."""
+
+    def test_taint_beside_a_pure_loop_keeps_its_replays(self):
+        replays = []
+        for events in ((), NEAR_EVENTS):
+            on = run_one(PURE_LOOP_NEAR, [CODE], code_events=events)
+            off = run_one(PURE_LOOP_NEAR, [CODE], translate=False, code_events=events)
+            assert_pair_identical(on, off)
+            replays.append(taint_stats(on[0])["taint_block_replays"])
+        assert replays[0] == replays[1] > 0
+
+    def test_taint_beside_a_fused_loop_rescans_nothing(self, monkeypatch):
+        # The load and the addi after it hold two codes each, so their
+        # fetch steps scan byte by byte, through ShadowMemory.get.
+        fetched = []
+        get = ShadowMemory.get
+
+        def spy(shadow, paddr):
+            fetched.append(paddr)
+            return get(shadow, paddr)
+
+        monkeypatch.setattr(ShadowMemory, "get", spy)
+        loop = assemble(program(LOAD_LOOP_NEAR, PARK), base=IMAGE_BASE).label("loop")
+        seeds = [CODE, ("loop+3", 8)]
+        scans = []
+        for events in ((), NEAR_EVENTS):
+            fetched.clear()
+            on = run_one(LOAD_LOOP_NEAR, seeds, code_events=events)
+            (proc,) = on[0].kernel.processes.values()
+            code = set(proc.aspace.translate_range(loop, 40, AccessKind.READ))
+            scans.append(sum(paddr in code for paddr in fetched))
+            off = run_one(LOAD_LOOP_NEAR, seeds, translate=False, code_events=events)
+            assert_pair_identical(on, off)
+        assert scans[0] == scans[1] > 0
+
+    def test_taint_on_the_last_fetch_byte_reaches_insn_prov(self):
+        # Only the running load's last byte changes: a memo keyed on
+        # fewer than its 24 code bytes would return stale provenance.
+        events = [(601, "loop+7", 1, SEED)]
+        _, log = observed_pair(LOAD_LOOP_NEAR, [CODE], events)
+        assert not any(SEED in prov for now, prov in log if now < 601)
+        assert any(SEED in prov for _, prov in log)
 
 
 class TestStraddlingInstructionsFused:

@@ -286,6 +286,7 @@ def guest_programs(draw, passes=1):
     if passes > 1:
         lines += [f"    movi r7, {passes}", "again:"]
     lines += [
+        "inputs:",
         "    movi r6, in_a",
         "    ld r1, [r6]",
         "    movi r6, in_b",
@@ -365,10 +366,15 @@ policies = st.builds(
 )
 
 #: ``"code"`` file-tags the program's whole image, as FAROS does at
-#: spawn, so every instruction fetches tainted bytes; ``"buf32"``
-#: seeds the whole scratch buffer as one run, which programs that
-#: store mixed unions into it then break up.
-seed_choices = st.sampled_from(["a", "b", "ab", "buf", "buf32", "code", "none"])
+#: spawn, so every instruction fetches tainted bytes; ``"code_split"``
+#: then also taints an 8-byte run from 3 bytes into the ``movi`` at
+#: ``inputs``, so it and the load after it hold two codes each and
+#: their fetch steps take the per-byte scan, the rest the one-code slice;
+#: ``"buf32"`` seeds the whole scratch buffer as one run, which
+#: programs that store mixed unions into it then break up.
+seed_choices = st.sampled_from(
+    ["a", "b", "ab", "buf", "buf32", "code", "code_split", "none"]
+)
 
 SEED_IMAGE = Tag(TagType.FILE, 1)
 
@@ -382,11 +388,13 @@ def seed_program(trackers, proc, prog, seeds, extra_seeds=()):
         for tracker in trackers:
             tracker.taint_range(paddrs, tag)
 
-    if seeds == "code":
+    if seeds in ("code", "code_split"):
         seed(prog.base, len(prog.code), SEED_IMAGE)
-    if "a" in seeds:
+    if seeds == "code_split":
+        seed(prog.label("inputs") + 3, 8, SEED_A)
+    if seeds in ("a", "ab"):
         seed(prog.label("in_a"), 4, SEED_A)
-    if "b" in seeds:
+    if seeds in ("b", "ab"):
         seed(prog.label("in_b"), 4, SEED_B)
     if seeds == "buf":
         seed(prog.label("buf"), 8, SEED_A)
@@ -678,8 +686,9 @@ class TestFileTaggedLoopMatrix:
     """File-tagged programs run three times over.  Under the
     process-tag policy the first pass appends the tag to the fetched
     bytes, the second scans without changing them (recording each
-    fetch memo), and the third hits the memos -- unless a store on the
-    code's shadow page moved its epoch, which unpadded programs do.
+    fetch memo), and the third hits the memos, keyed on each
+    instruction's own shadow codes -- stores that unpadded programs
+    make beside the code, on its shadow page, leave them standing.
     Every pass must stay bit-identical to the interpreter, interner
     counters included."""
 
