@@ -186,6 +186,8 @@ class Machine:
                 "translate.taint_block_replays",
                 lambda: translator.taint_block_replays,
             )
+            # Blocks that ran fused and so compiled their fused closures.
+            m.gauge("translate.taint_compiles", lambda: translator.taint_compiles)
 
     # ------------------------------------------------------------------
     # time & events

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import (
     COND_BRANCH_OPS,
@@ -76,6 +76,10 @@ class Program:
 
 
 _MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:([+-])\s*(\w+)\s*)?\]$")
+_LABEL_RE = re.compile(r"^(\w+)\s*:\s*(.*)$")
+_EQU_RE = re.compile(r"^(\w+)\s*,\s*(\S+)$")
+_STRING_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
+_OFFSET_RE = re.compile(r"^(\w+)\s*([+-])\s*(\w+)$")
 
 # (emitted later) pseudo-item kinds for the first pass
 _Item = Tuple[int, str, object]  # (lineno, kind, payload)
@@ -110,36 +114,71 @@ def assemble(source: str, base: int = 0) -> Program:
 
 
 def _first_pass(source: str, base: int) -> Tuple[List[_Item], Dict[str, int], Dict[str, int]]:
-    """Strip comments, collect labels/constants, and size every item."""
+    """Strip comments, collect labels/constants, and size every item.
+
+    Each line's parse -- its label names, item and size -- depends on
+    the line alone, so it is memoised on the raw line
+    (:data:`_LINE_CACHE`): every program repeats the same prelude.  The
+    checks that depend on the program (duplicate symbols) and the line
+    number every item and error carries are applied per use.
+    """
     items: List[_Item] = []
     labels: Dict[str, int] = {}
     equs: Dict[str, int] = {}
     offset = 0
+    cache = _LINE_CACHE
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        # peel off any leading labels ("a: b: insn" is legal)
-        while True:
-            m = re.match(r"^(\w+)\s*:\s*(.*)$", line)
-            if not m:
-                break
-            name = m.group(1)
+        parsed = cache.get(raw)
+        if parsed is None:
+            names, line = _peel_labels(_strip_comment(raw).strip())
+        else:
+            names, kind, payload, size = parsed
+        for name in names:
             if name in labels or name in equs:
                 raise AssemblerError(lineno, f"duplicate symbol {name!r}")
             labels[name] = base + offset
-            line = m.group(2).strip()
-        if not line:
-            continue
-        if line.startswith("."):
-            size = _parse_directive(lineno, line, items, equs)
-            offset += size
-        else:
-            mnemonic, _, rest = line.partition(" ")
-            operands = [tok.strip() for tok in rest.split(",")] if rest.strip() else []
-            items.append((lineno, "insn", (mnemonic.lower(), operands)))
-            offset += INSTRUCTION_SIZE
+        if parsed is None:
+            kind, payload, size = _parse_statement(lineno, line)
+            if len(cache) >= _LINE_CACHE_SIZE:
+                cache.clear()
+            cache[raw] = (names, kind, payload, size)
+        if kind == ".equ":
+            equs[payload[0]] = payload[1]
+        elif kind is not None:
+            items.append((lineno, kind, payload))
+        offset += size
     return items, labels, equs
+
+
+#: Raw source line -> ``(label names, item kind, payload, size)`` of its
+#: first-pass parse; the kind is None for a line without an item.
+_LINE_CACHE: Dict[str, Tuple[Tuple[str, ...], Optional[str], object, int]] = {}
+#: Entries kept before the cache starts over.
+_LINE_CACHE_SIZE = 4096
+
+
+def _peel_labels(line: str) -> Tuple[Tuple[str, ...], str]:
+    """Split leading labels (``a: b: insn`` is legal) off a stripped
+    line: their names and the rest of the line."""
+    names = []
+    while True:
+        m = _LABEL_RE.match(line)
+        if not m:
+            return tuple(names), line
+        names.append(m.group(1))
+        line = m.group(2).strip()
+
+
+def _parse_statement(lineno: int, line: str) -> Tuple[Optional[str], object, int]:
+    """Parse what follows a line's labels: ``(item kind, payload, byte
+    size)``, kind None for nothing and ``".equ"`` for a constant."""
+    if not line:
+        return None, None, 0
+    if line.startswith("."):
+        return _parse_directive(lineno, line)
+    mnemonic, _, rest = line.partition(" ")
+    operands = tuple(tok.strip() for tok in rest.split(",")) if rest.strip() else ()
+    return "insn", (mnemonic.lower(), operands), INSTRUCTION_SIZE
 
 
 def _strip_comment(line: str) -> str:
@@ -157,44 +196,39 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _parse_directive(lineno: int, line: str, items: List[_Item], equs: Dict[str, int]) -> int:
-    """Handle one directive; append emitted items; return its byte size."""
+def _parse_directive(lineno: int, line: str) -> Tuple[Optional[str], object, int]:
+    """Parse one directive: ``(item kind, payload, byte size)``."""
     directive, _, rest = line.partition(" ")
     directive = directive.lower()
     rest = rest.strip()
     if directive == ".equ":
-        m = re.match(r"^(\w+)\s*,\s*(\S+)$", rest)
+        m = _EQU_RE.match(rest)
         if not m:
             raise AssemblerError(lineno, ".equ expects NAME, VALUE")
-        equs[m.group(1)] = _parse_number(lineno, m.group(2))
-        return 0
+        return ".equ", (m.group(1), _parse_number(lineno, m.group(2))), 0
     if directive in (".ascii", ".asciz"):
-        m = re.match(r'^"((?:[^"\\]|\\.)*)"$', rest)
+        m = _STRING_RE.match(rest)
         if not m:
             raise AssemblerError(lineno, f"{directive} expects a quoted string")
         data = m.group(1).encode().decode("unicode_escape").encode("latin-1")
         if directive == ".asciz":
             data += b"\x00"
-        items.append((lineno, "bytes", data))
-        return len(data)
+        return "bytes", data, len(data)
     if directive == ".space":
         n = _parse_number(lineno, rest)
         if n < 0:
             raise AssemblerError(lineno, ".space size must be non-negative")
-        items.append((lineno, "bytes", b"\x00" * n))
-        return n
+        return "bytes", b"\x00" * n, n
     if directive == ".word":
-        tokens = [tok.strip() for tok in rest.split(",") if tok.strip()]
+        tokens = tuple(tok.strip() for tok in rest.split(",") if tok.strip())
         if not tokens:
             raise AssemblerError(lineno, ".word expects at least one value")
-        items.append((lineno, "words", tokens))
-        return 4 * len(tokens)
+        return "words", tokens, 4 * len(tokens)
     if directive == ".byte":
-        tokens = [tok.strip() for tok in rest.split(",") if tok.strip()]
+        tokens = tuple(tok.strip() for tok in rest.split(",") if tok.strip())
         if not tokens:
             raise AssemblerError(lineno, ".byte expects at least one value")
-        items.append((lineno, "bytevals", tokens))
-        return len(tokens)
+        return "bytevals", tokens, len(tokens)
     raise AssemblerError(lineno, f"unknown directive {directive}")
 
 
@@ -208,7 +242,7 @@ def _parse_number(lineno: int, token: str) -> int:
 def _resolve(lineno: int, token: str, symbols: Dict[str, int]) -> int:
     """Resolve *token*: a number, a symbol, or symbol+/-constant."""
     token = token.strip()
-    m = re.match(r"^(\w+)\s*([+-])\s*(\w+)$", token)
+    m = _OFFSET_RE.match(token)
     if m:
         left = _resolve(lineno, m.group(1), symbols)
         right = _resolve(lineno, m.group(3), symbols)
@@ -245,7 +279,7 @@ def _mem_operand(lineno: int, token: str, symbols: Dict[str, int]) -> Tuple[Reg,
 def _build_instruction(
     lineno: int,
     mnemonic: str,
-    operands: List[str],
+    operands: Tuple[str, ...],
     symbols: Dict[str, int],
 ) -> Instruction:
     """Turn one parsed source line into an :class:`Instruction`."""

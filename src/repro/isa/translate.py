@@ -64,32 +64,35 @@ instead executes the same cached blocks, each one of two ways:
 * **replay** -- a *pure* block (no data memory) on a clean register
   bank, with no pending control window, no taint budget and budget
   left for the whole block, runs its plain closures and replays the
-  counter delta a fused run of it recorded
+  counter delta its record run recorded
   (:meth:`BlockTranslator._replay`); a self-loop replays it once per
-  iteration it runs in place;
+  iteration it runs in place.  With no valid record the block makes a
+  *record run* instead: each instruction's plain closure plus its
+  fetch step, all a fused run of it could do there;
 * **fused** -- every other block runs its *fused taint closures*
-  (:func:`_compile_taint`).  Each closure does the instruction's
-  architectural work, then its fetch step, then the tracker's
-  all-clean gate (bank clean, no pending control window, data bytes on
-  clean shadow pages -- one membership probe against the live
-  dirty-page index), and only on a gate miss the full Table I slow
-  path, mirroring :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`
-  bit-for-bit.
+  (:func:`_compile_taint`), compiled the first time the block runs
+  fused.  Each closure does the instruction's architectural work, then
+  its fetch step, then the tracker's all-clean gate (bank clean, no
+  pending control window, data bytes on clean shadow pages -- one
+  membership probe against the live dirty-page index), and only on a
+  gate miss the full Table I slow path, mirroring
+  :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec` bit-for-bit.
 
-The fetch step (:func:`_compile_fetch`) is the one place fetch
-cleanliness is decided, per instruction and byte-precisely.  It is the
-interpreter's step 1 -- append the process tag to each tainted fetch
-byte, union them into ``insn_prov`` -- memoised on the instruction's
-own 24 shadow-code bytes (3 per fetch byte) plus the process tag, so a
-steady-state loop pays one slice compare per instruction whether its
-bytes are clean or file-tagged (every image FAROS loads is:
-``Kernel.spawn`` reads it through the file hook).  Only a change to
-those codes forces a rescan, not taint landing beside them; a store
-that writes the bytes also rewrites the watched code page and ends the
-block at that store (``"smc"``).  The replay record is keyed on the
-block's fetch codes plus the process tag.  Page-straddling
-instructions run like any other; no retirement steps through the
-interpreter.  See ``docs/taint_model.md`` for the dispatch picture.
+The fetch step is the one place fetch cleanliness is decided, per
+instruction and byte-precisely.  It is the interpreter's step 1 --
+append the process tag to each tainted fetch byte, union them into
+``insn_prov`` (:func:`_fetch_scan`).  A fused closure memoises it
+(:func:`_compile_fetch`) on the instruction's own 24 shadow-code bytes
+(3 per fetch byte) plus the process tag, so a steady-state loop pays
+one slice compare per instruction whether its bytes are clean or
+file-tagged (every image FAROS loads is: ``Kernel.spawn`` reads it
+through the file hook).  Only a change to those codes forces a rescan,
+not taint landing beside them; a store that writes the bytes also
+rewrites the watched code page and ends the block at that store
+(``"smc"``).  The replay record is keyed on the block's fetch codes
+plus the process tag.  Page-straddling instructions run like any
+other; no retirement steps through the interpreter.  See
+``docs/taint_model.md`` for the dispatch picture.
 
 Blocks bind a specific CPU's register file and a specific MMU at
 translation time; a :class:`BlockTranslator` therefore belongs to one
@@ -259,16 +262,17 @@ class TranslatedBlock:
         self.term_insn = term_insn
         self.taint_body: Optional[List[Callable]] = None
         self.taint_term: Optional[Callable] = None
-        #: The block-taint context the fused closures were compiled
-        #: against (their fetch memos are per tracker).
+        #: The block-taint context the block is bound to
+        #: (:meth:`bind_taint`; fetch memos and replay records are per
+        #: tracker).
         self.taint_ctx = None
         #: The block's fetch byte addresses in fetch order: a range, or a
         #: straddling instruction's two runs as a tuple.  Set by
-        #: :meth:`ensure_taint`.
+        #: :meth:`bind_taint`.
         self.fetch_bytes: Sequence[int] = ()
         #: The block-replay record (:meth:`BlockTranslator._replay`):
         #: ``(fetch codes, slow retirements, interner lookups, process
-        #: tag)`` of a fused run that moved nothing but counters.
+        #: tag)`` of a record run that moved nothing but counters.
         self.replay: Optional[Tuple] = None
 
     def tail_valid(self) -> bool:
@@ -390,34 +394,47 @@ class TranslatedBlock:
 
     # -- the translated-tainted tier ---------------------------------------------
 
-    def ensure_taint(self, ctx) -> None:
-        """Compile the fused taint closures against *ctx*.
+    def bind_taint(self, ctx) -> None:
+        """Bind the block to *ctx*'s tracker: set its fetch bytes and
+        forget the replay record and the fused closures.
 
-        Taint compilation is deferred past plain translation: most blocks
-        only ever run uninstrumented, and the taint runtime itself is a
-        lazy import (see :func:`_load_taint_runtime`).  The closures'
-        fetch memos and the replay record hold one tracker's shadow
-        codes and interner counts, so a block reached through another
-        tracker's context is compiled afresh and forgets them.
+        Both hold one tracker's shadow codes and interner counts (the
+        closures in their fetch memos), so a block reached through
+        another tracker's context starts afresh.
         """
-        _load_taint_runtime()
         start = self.start_paddr
         if self.tail is None:
-            fetch_bytes = range(start, start + self.n_insns * INSTRUCTION_SIZE)
+            self.fetch_bytes = range(start, start + self.n_insns * INSTRUCTION_SIZE)
         else:
             head = PAGE_SIZE - (start & _PAGE_MASK)
             tail_paddr = self.tail[1]
-            fetch_bytes = tuple(range(start, start + head)) + tuple(
+            self.fetch_bytes = tuple(range(start, start + head)) + tuple(
                 range(tail_paddr, tail_paddr + INSTRUCTION_SIZE - head)
             )
-        self.fetch_bytes = fetch_bytes
         self.replay = None
+        self.taint_body = None
+        self.taint_term = None
+        self.taint_ctx = ctx
+
+    def compile_taint(self) -> None:
+        """Compile the fused taint closures, the first time the block
+        runs fused since :meth:`bind_taint`.
+
+        Compilation is deferred past plain translation and past binding:
+        most blocks only ever run uninstrumented, and a pure block on a
+        clean bank records and replays instead
+        (:meth:`BlockTranslator._replay`), so most taint-tier blocks
+        never need them.  The register-only closures wrap the block's
+        plain closures.
+        """
+        fetch_bytes = self.fetch_bytes
         cpu = self.cpu
+        body = self.body
         taint_body: List[Callable] = []
         pc = self.start_pc
         for i, insn in enumerate(self.insns):
             insn_bytes = fetch_bytes[i * INSTRUCTION_SIZE : (i + 1) * INSTRUCTION_SIZE]
-            taint_body.append(_compile_taint(insn, cpu, pc, i, insn_bytes))
+            taint_body.append(_compile_taint(insn, cpu, pc, i, insn_bytes, body[i]))
             pc = (pc + INSTRUCTION_SIZE) & MASK32
         # Only "fall" blocks lack a terminator, and they never run one.
         self.taint_term = (
@@ -429,7 +446,6 @@ class TranslatedBlock:
             else None
         )
         self.taint_body = taint_body
-        self.taint_ctx = ctx
 
     def execute_taint(self, budget: int, ctx) -> str:
         """Run up to *budget* instructions with fused Table I propagation.
@@ -443,9 +459,10 @@ class TranslatedBlock:
         interpreter raises after the instruction retired, and the
         differential suite holds the two paths to the same tick.
 
-        Caller contract: :meth:`ensure_taint` ran for *ctx*.  Each fused
-        closure decides its own fetch bytes' cleanliness through its
-        memoised fetch step, whatever the surrounding shadow page holds.
+        Caller contract: the block is bound to *ctx* and
+        :meth:`compile_taint` ran since.  Each fused closure decides its
+        own fetch bytes' cleanliness through its memoised fetch step,
+        whatever the surrounding shadow page holds.
 
         Stats contract: every retirement here is accounted on the
         tracker's counters with the same fast/slow split the interpreter
@@ -806,22 +823,23 @@ def _compile_fetch(paddrs: Sequence[int]) -> Callable:
     The memo is keyed by the bytes' own 24 shadow-code bytes
     (:func:`_fetch_codes`; all zero means clean) and the process tag,
     compared by value (``TagStore.process_tag`` returns a fresh ``Tag``
-    per call).  It is recorded only after a scan that changed no code,
-    and such a scan repeats identically while the key holds: a code
-    names the same provenance list for the shadow's whole life (its
-    code table only grows), and the interner never evicts, so every
-    memoised lookup in it would hit.  A memo hit returns the cached
-    ``insn_prov`` and adds the recorded lookup count to
-    ``interner.hits``.  Shadow state, interner counters, stats and the
-    process-tag mint order stay bit-identical to
+    per call).  It is recorded only after a scan that changed no code
+    (made no process-tag append), and such a scan repeats identically
+    while the key holds: a code names the same provenance list for the
+    shadow's whole life (its code table only grows), and the interner
+    never evicts, so every memoised lookup in it would hit.  A memo hit
+    returns the cached ``insn_prov`` and adds the recorded lookup count
+    to ``interner.hits``.  Shadow state, interner counters, stats and
+    the process-tag mint order stay bit-identical to
     :meth:`~repro.taint.tracker.TaintTracker.on_insn_exec`.
     """
     memo: List = [None, None, None, 0]  # codes, process tag, insn_prov, lookups
 
     def fetch(ctx):
         codes = _fetch_codes(ctx.dirty_pages, paddrs)
+        stats = ctx.stats
         if codes == memo[0]:
-            ctx.stats.slow_retirements += 1
+            stats.slow_retirements += 1
             tag = ctx.get_proc_tag()
             if tag is memo[1] or tag == memo[1]:
                 memo[1] = tag  # later compares in this slice are identity
@@ -830,29 +848,34 @@ def _compile_fetch(paddrs: Sequence[int]) -> Callable:
         elif codes == _CLEAN_CODES:
             return None
         else:
-            ctx.stats.slow_retirements += 1
+            stats.slow_retirements += 1
             tag = ctx.get_proc_tag()
-        return _fetch_scan(ctx, paddrs, codes, tag, memo)
+        interner = ctx.interner
+        lookups = interner.hits + interner.misses
+        appends = stats.process_tag_appends
+        insn_prov = _fetch_scan(ctx, paddrs, codes, tag)
+        if stats.process_tag_appends == appends:
+            lookups = interner.hits + interner.misses - lookups
+            memo[:] = bytes(codes), tag, insn_prov, lookups
+        return insn_prov
 
     return fetch
 
 
-def _fetch_scan(ctx, paddrs: Sequence[int], codes: bytearray, tag, memo: List) -> Tuple:
-    """The scan of interpreter step 1, for a fetch its memo could not
-    answer: append *tag* to each tainted fetch byte (*codes* are their
-    shadow codes) and union the bytes' provenance into ``insn_prov``.
+def _fetch_scan(ctx, paddrs: Sequence[int], codes: bytearray, tag) -> Tuple:
+    """The scan of interpreter step 1: append *tag* to each tainted
+    fetch byte (*codes* are their shadow codes) and union the bytes'
+    provenance into ``insn_prov``, which it returns.
 
     Bytes that are one run on one shadow page with one code (every
     file-tagged image) take the per-byte loop's work in bulk: one
     memoised ``append``, the 7 interner hits its repeats would score and
     one ``set_range``.  Mixed codes and straddling instructions take the
-    loop.  A scan that changed no code records the memo.
+    loop.
     """
     shadow = ctx.shadow
     stats = ctx.stats
     interner = ctx.interner
-    lookups = interner.hits + interner.misses
-    appends = stats.process_tag_appends
     if type(paddrs) is range and codes[3:] == codes[:-3]:
         insn_prov = shadow.get(paddrs[0])
         if tag is not None:
@@ -875,12 +898,34 @@ def _fetch_scan(ctx, paddrs: Sequence[int], codes: bytearray, tag, memo: List) -
                         stats.process_tag_appends += 1
                         prov = new
                 insn_prov = ctx.union(insn_prov, prov)
-    if stats.process_tag_appends == appends:
-        memo[0] = bytes(codes)
-        memo[1] = tag
-        memo[2] = insn_prov
-        memo[3] = interner.hits + interner.misses - lookups
     return insn_prov
+
+
+def _bulk_fetch(ctx, paddrs: range) -> None:
+    """The fetch steps of a record run whose fetch bytes *paddrs* are
+    one run with one nonzero code, in bulk.
+
+    Each instruction's step would count a slow retirement and take
+    :func:`_fetch_scan`'s one-code branch over the same provenance
+    list, whose ``append`` only the first step would look up; the
+    others would hit it.  Only the first step can raise (tag-space
+    exhaustion, a code-table overflow): it mints the process tag and
+    encodes the appended list, and ``set_range`` encodes before it
+    writes.  So nothing past the first slow retirement is counted
+    before the last point that can raise.
+    """
+    stats = ctx.stats
+    stats.slow_retirements += 1
+    tag = ctx.get_proc_tag()
+    n = len(paddrs)
+    if tag is not None:
+        prov = ctx.shadow.get(paddrs[0])
+        new = ctx.append(prov, tag)
+        if new is not prov:
+            ctx.shadow.set_range(paddrs[0], n, new)
+            stats.process_tag_appends += n
+        ctx.interner.hits += n - 1
+    stats.slow_retirements += n // INSTRUCTION_SIZE - 1
 
 
 def _taint_epilogue(ctx) -> None:
@@ -960,15 +1005,17 @@ def _compile_taint(
     insn_pc: int,
     index: int,
     fetch_paddrs: Sequence[int],
+    arch: Callable[[], Optional[bool]],
 ) -> Callable:
     """Compile one non-terminating instruction into a fused taint closure.
 
-    *index* is the instruction's position in its block and
-    *fetch_paddrs* its 8 fetch byte addresses.  The closure takes the
-    slice's :class:`~repro.taint.tracker.BlockTaintContext` (whose
-    tracker the fetch memo belongs to) and, like the plain closures,
-    returns ``True`` for a retired store (the executor re-checks the
-    code version) and ``None`` otherwise.
+    *index* is the instruction's position in its block, *fetch_paddrs*
+    its 8 fetch byte addresses and *arch* its plain closure, which the
+    register-only shapes wrap.  The closure takes the slice's
+    :class:`~repro.taint.tracker.BlockTaintContext` (whose tracker the
+    fetch memo belongs to) and, like the plain closures, returns
+    ``True`` for a retired store (the executor re-checks the code
+    version) and ``None`` otherwise.
     """
     op = insn.op
     v = cpu.regs._values
@@ -1134,9 +1181,8 @@ def _compile_taint(
             return True
         return store
 
-    # Register-only shapes: reuse the plain closure for the architectural
-    # work and fuse just the propagation rule around the all-clean gate.
-    arch = _compile_straight(insn, cpu)
+    # Register-only shapes: the plain closure does the architectural
+    # work; fuse just the propagation rule around the all-clean gate.
     propagate = _compile_reg_propagation(insn)
 
     def fused(ctx) -> None:
@@ -1217,6 +1263,8 @@ class BlockTranslator:
         # Pure blocks that replayed a recorded counter delta instead of
         # running their fused closures.
         self.taint_block_replays = 0
+        # Blocks whose fused closures were compiled (once per tracker).
+        self.taint_compiles = 0
 
     # -- cache management --------------------------------------------------------
 
@@ -1384,14 +1432,16 @@ class BlockTranslator:
 
         Each block, entry and chain alike, runs one of two ways.  A pure
         block on a clean bank, with no pending control window, no taint
-        budget and budget left for the whole block, replays its record
-        (:meth:`_replay`) -- a self-loop once per iteration it runs in
-        place.  Every other block runs its fused closures
-        (:meth:`TranslatedBlock.execute_taint`), each of which decides
-        its own fetch bytes' cleanliness in its memoised fetch step: the
-        bytes of a file-tagged image, or of the possibly-injected code
-        FAROS exists to observe, yield their provenance to the detection
-        listeners exactly as the interpreter's per-byte scan does.
+        budget and budget left for the whole block, replays its record,
+        or makes a record run when it has no valid one (:meth:`_replay`)
+        -- a self-loop replays once per iteration it runs in place.
+        Every other block runs its fused closures
+        (:meth:`TranslatedBlock.execute_taint`), compiled the first time
+        it gets here, each of which decides its own fetch bytes'
+        cleanliness in its memoised fetch step: the bytes of a
+        file-tagged image, or of the possibly-injected code FAROS exists
+        to observe, yield their provenance to the detection listeners
+        exactly as the interpreter's per-byte scan does.
         """
         _load_taint_runtime()
         self.taint_lookups += 1
@@ -1402,7 +1452,7 @@ class BlockTranslator:
         spent = 0
         while True:
             if block.taint_ctx is not ctx:
-                block.ensure_taint(ctx)
+                block.bind_taint(ctx)
             before = cpu.instret
             bank = ctx.bank
             left = budget - spent
@@ -1418,6 +1468,9 @@ class BlockTranslator:
             ):
                 reason = self._replay(block, left, ctx)
             else:
+                if block.taint_body is None:
+                    block.compile_taint()
+                    self.taint_compiles += 1
                 reason = block.execute_taint(left, ctx)
             self.taint_executions += 1
             spent += cpu.instret - before
@@ -1445,23 +1498,40 @@ class BlockTranslator:
             block = nxt
 
     def _replay(self, block: TranslatedBlock, budget: int, ctx) -> str:
-        """Run a pure block whose fused run can only move counters, by
-        replaying those counters.
+        """Run a pure block whose fused run could only move counters, by
+        replaying those counters -- or, with no valid record, by a
+        record run that leaves one.
 
         Caller contract: the block is pure (no data memory), *budget*
         covers it terminator included, the bank is clean, no control
         window is pending and no taint budget is set.  Then each fused
-        closure's slow path changes nothing but counters: the bank
+        closure's slow path would change nothing but counters: the bank
         holds no provenance, so every Table I rule writes ``EMPTY``
         over ``EMPTY`` (``union(EMPTY, EMPTY)`` counts no lookup), no
         window can arm, and only the fetch step's tag appends touch the
-        shadow.  A fused run that retires the whole block and leaves the
-        shadow codes of its fetch bytes (:func:`_fetch_codes`) unchanged
-        made no append, so the record it leaves -- its slow retirements
-        and interner lookups, keyed by those codes and the process tag
-        (by value) -- repeats exactly while the key holds: a code names
-        the same provenance list for the shadow's whole life, and the
-        interner never evicts, so every recorded lookup would now hit.
+        shadow.  So such a block never needs its fused closures.  Its
+        *record run* is each instruction's plain closure and fetch step
+        (count the slow retirement, mint the process tag,
+        :func:`_fetch_scan`) over tainted fetch bytes.  A record run
+        that made no process-tag append left the shadow codes of its
+        fetch bytes (:func:`_fetch_codes`) unchanged, so the record it
+        leaves -- its slow retirements and interner lookups, keyed by
+        those codes and the process tag (by value) -- repeats exactly
+        while the key holds: a code names the same provenance list for
+        the shadow's whole life, and the interner never evicts, so every
+        recorded lookup would now hit.
+
+        The record run takes the fetch steps first, then the plain
+        closures: the two touch disjoint state (shadow, interner, stats
+        and tag store against registers and flags), so the order shows
+        only where a fetch step raises (a code-table overflow, tag-space
+        exhaustion).  The interpreter raises after that instruction
+        retired, so the run then retires the plain closures up to and
+        including it and propagates with the post-instruction ``pc``,
+        ``instret`` and counters, as
+        :meth:`TranslatedBlock.execute_taint` does.  When the block's
+        fetch bytes hold one code throughout, the fetch steps run in
+        bulk (:func:`_bulk_fetch`).
 
         A replay runs the plain closures and adds the lookups to
         ``interner.hits``, the slow count to ``slow_retirements`` and
@@ -1483,8 +1553,8 @@ class BlockTranslator:
         cpu = block.cpu
         stats = ctx.stats
         interner = ctx.interner
-        pages = ctx.dirty_pages
-        codes = _fetch_codes(pages, block.fetch_bytes)
+        fetch_bytes = block.fetch_bytes
+        codes = _fetch_codes(ctx.dirty_pages, fetch_bytes)
         record = block.replay
         if record is not None and record[0] == codes:
             _, slow, lookups, tag = record
@@ -1507,15 +1577,40 @@ class BlockTranslator:
                 stats.fast_retirements += retired - k * slow
                 interner.hits += k * lookups
                 return reason
+        # The record run.
         slow0 = stats.slow_retirements
         lookups0 = interner.hits + interner.misses
+        appends0 = stats.process_tag_appends
+        i = 0
+        try:
+            if type(fetch_bytes) is range and codes[3:] == codes[:-3]:
+                if codes[0] or codes[1] or codes[2]:
+                    _bulk_fetch(ctx, fetch_bytes)
+            else:
+                width = len(_CLEAN_CODES)
+                for i in range(block.n_insns):
+                    insn_codes = codes[i * width : (i + 1) * width]
+                    if insn_codes != _CLEAN_CODES:
+                        stats.slow_retirements += 1
+                        _fetch_scan(
+                            ctx,
+                            fetch_bytes[i * INSTRUCTION_SIZE : (i + 1) * INSTRUCTION_SIZE],
+                            insn_codes,
+                            ctx.get_proc_tag(),
+                        )
+        except Exception:
+            # Fetch step i raised: retire through instruction i.
+            block.execute(i + 1)
+            stats.instructions += i + 1
+            stats.fast_retirements += i + 1 - (stats.slow_retirements - slow0)
+            raise
         before = cpu.instret
-        reason = block.execute_taint(budget, ctx)
-        if (
-            cpu.instret - before == block.n_insns
-            and _fetch_codes(pages, block.fetch_bytes) == codes
-        ):
-            slow = stats.slow_retirements - slow0
+        reason = block.execute(budget)
+        retired = cpu.instret - before
+        slow = stats.slow_retirements - slow0
+        stats.instructions += retired
+        stats.fast_retirements += retired - slow
+        if stats.process_tag_appends == appends0:
             block.replay = (
                 bytes(codes),
                 slow,
@@ -1567,5 +1662,6 @@ class BlockTranslator:
             "taint_executions": self.taint_executions,
             "taint_single_steps": self.taint_single_steps,
             "taint_block_replays": self.taint_block_replays,
+            "taint_compiles": self.taint_compiles,
             "cached_blocks": self.cached_blocks(),
         }

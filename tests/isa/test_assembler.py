@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis.triage import ATTACK_BUILDER_REGISTRY
+from repro.isa import assembler
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.instructions import INSTRUCTION_SIZE, Op, decode
 from repro.isa.registers import Reg
+from repro.workloads.corpus import corpus_samples
 
 
 def first(program):
@@ -169,3 +172,48 @@ class TestWholePrograms:
         )
         assert len(prog.code) == 5 * INSTRUCTION_SIZE
         assert decode(prog.code, 3 * INSTRUCTION_SIZE).op is Op.JNZ
+
+
+class TestLineCache:
+    """The first pass memoises each source line's parse: a line served
+    from the cache assembles as a fresh parse of it does, wherever it
+    sits."""
+
+    def test_cold_and_warm_assemblies_agree(self, monkeypatch):
+        sources = []
+        first_pass = assembler._first_pass
+
+        def spy(source, base):
+            sources.append((source, base))
+            return first_pass(source, base)
+
+        monkeypatch.setattr(assembler, "_first_pass", spy)
+        for spec in corpus_samples():
+            spec.scenario().build(())
+        for build in ATTACK_BUILDER_REGISTRY.values():
+            build().scenario.build(())
+        monkeypatch.undo()
+        assert len({source for source, _ in sources}) > 100
+        cold = []
+        for source, base in sources:
+            assembler._LINE_CACHE.clear()
+            cold.append(assemble(source, base))
+        for source, base in sources:
+            assemble(source, base)
+        warm = [assemble(source, base) for source, base in sources]
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "seen, source, lineno",
+        [
+            ("nop\nmovi r1, LIMIT\n.equ LIMIT, 3", "nop\nnop\nmovi r1, LIMIT", 3),
+            ("nop\na: nop", "nop\na: nop\na: nop", 3),
+        ],
+        ids=["undefined_symbol", "duplicate_label"],
+    )
+    def test_error_on_a_cached_line_names_its_line(self, seen, source, lineno):
+        assemble(seen)
+        assert set(source.splitlines()) <= set(assembler._LINE_CACHE)
+        with pytest.raises(AssemblerError) as excinfo:
+            assemble(source)
+        assert excinfo.value.lineno == lineno

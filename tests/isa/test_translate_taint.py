@@ -30,6 +30,11 @@ taint tier's local contracts on whole machines carrying a lone
   that must stop a replay does (a budget cut, a
   taint budget, another process's tag, a pending control window, a
   second tracker);
+* a pure block on a clean bank records its replay in a record run,
+  from its plain closures, and never compiles fused closures; one
+  entered with a tainted register compiles and runs them; a record run
+  that appended keeps no record, and a fetch step that raises in a
+  record run leaves the interpreter's post-instruction state;
 * page-straddling instructions run fused in blocks of their own, and
   their second page is re-checked on every entry.
 
@@ -44,6 +49,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.emulator.machine import Machine, MachineConfig
+from repro.faros import Faros
 from repro.faults.plan import InjectedMachineFault
 from repro.guestos.asmlib import program
 from repro.guestos.layout import IMAGE_BASE
@@ -51,12 +57,15 @@ from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU, AccessKind
 from repro.isa.errors import PageFault
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
-from repro.isa.translate import BlockTranslator
+from repro.isa.registers import Reg
+from repro.isa.translate import BlockTranslator, TranslatedBlock
+from repro.taint import shadow as shadow_module
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
 from repro.taint.shadow import SHADOW_PAGE_SIZE, ShadowMemory
 from repro.taint.tags import Tag, TagType
 from repro.taint.tracker import TaintTracker
+from repro.workloads.corpus import corpus_samples
 
 from tests.conftest import register_asm
 from tests.isa.test_translate_smc import STRADDLE_PROGRAMS
@@ -926,6 +935,200 @@ class TestFetchCodesKeyTheMemos:
         _, log = observed_pair(LOAD_LOOP_NEAR, [CODE], events)
         assert not any(SEED in prov for now, prov in log if now < 601)
         assert any(SEED in prov for _, prov in log)
+
+
+class DispatchSpy:
+    """Watches the taint tier's two arms.  Per block, whether every
+    dispatch met the replay conditions -- a pure block, budget for all
+    of it, no taint budget, a clean bank and no pending control window
+    -- and every block that compiled its fused closures."""
+
+    def __init__(self, monkeypatch):
+        self.always_clean = {}
+        self.compiled = []
+        replay = BlockTranslator._replay
+        execute_taint = TranslatedBlock.execute_taint
+        compile_taint = TranslatedBlock.compile_taint
+
+        def note(block, budget, ctx):
+            bank = ctx.bank
+            clean = (
+                block.pure
+                and budget >= block.n_insns
+                and ctx.budget_check is None
+                and bank.tainted == 0
+                and not bank.flags
+                and ctx.tid not in ctx.pending
+            )
+            self.always_clean[block] = self.always_clean.get(block, True) and clean
+
+        def replay_spy(translator, block, budget, ctx):
+            note(block, budget, ctx)
+            return replay(translator, block, budget, ctx)
+
+        def execute_spy(block, budget, ctx):
+            note(block, budget, ctx)
+            return execute_taint(block, budget, ctx)
+
+        def compile_spy(block):
+            self.compiled.append(block)
+            return compile_taint(block)
+
+        monkeypatch.setattr(BlockTranslator, "_replay", replay_spy)
+        monkeypatch.setattr(TranslatedBlock, "execute_taint", execute_spy)
+        monkeypatch.setattr(TranslatedBlock, "compile_taint", compile_spy)
+
+    def clean_only(self):
+        """Blocks that only ever ran on a clean bank."""
+        return [block for block, clean in self.always_clean.items() if clean]
+
+
+def faros_pair(scenario):
+    """*scenario* under a fresh ``Faros`` (own interner) with the
+    translation cache on and off, asserted bit-identical; returns the
+    translated leg's ``(machine, faros)``."""
+    legs = []
+    for translate in (True, False):
+        config = scenario.config if scenario.config is not None else MachineConfig()
+        pinned = dataclasses.replace(
+            scenario, config=dataclasses.replace(config, translate=translate)
+        )
+        faros = Faros(
+            tracker_cls=lambda policy, tags, **kw: TaintTracker(
+                policy=policy, tags=tags, interner=ProvInterner(), **kw
+            )
+        )
+        legs.append((pinned.run(plugins=(faros,)), faros))
+    (m_on, on), (m_off, off) = legs
+    assert m_on.now == m_off.now
+    assert on.tracker.stats == off.tracker.stats
+    assert on.tracker.shadow.snapshot() == off.tracker.shadow.snapshot()
+    assert on.tracker.banks.snapshot() == off.tracker.banks.snapshot()
+    assert (on.tracker.interner.hits, on.tracker.interner.misses) == (
+        off.tracker.interner.hits,
+        off.tracker.interner.misses,
+    )
+    assert on.tags.sizes() == off.tags.sizes()
+    assert on.report().to_json_dict() == off.report().to_json_dict()
+    return legs[0]
+
+
+#: A tainted load, then a jump into a pure block: the block is entered
+#: with a tainted register and must run fused.
+LOAD_THEN_PURE = """
+start:
+    movi r6, src
+    ld r1, [r6]
+    jmp pure
+pure:
+    addi r2, r1, 1
+    xor r3, r2, r1
+    jmp park
+pad: .space 8192
+src: .word 0xfeedface
+"""
+
+#: One pure entry block; a seed on its third instruction only.
+PURE_STRAIGHT = """
+start:
+    movi r1, 1
+    addi r1, r1, 2
+    muli r2, r1, 3
+    xor r3, r1, r2
+    jmp park
+"""
+
+
+class TestRecordRun:
+    """A pure block on a clean bank with no valid record runs its plain
+    closures and fetch steps and records its replay from them; fused
+    closures are compiled only for blocks that run fused."""
+
+    def test_file_tagged_pure_loop_compiles_nothing(self, monkeypatch):
+        spy = DispatchSpy(monkeypatch)
+        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE])
+        clean_only = spy.clean_only()
+        assert clean_only and taint_stats(machine)["taint_block_replays"] > 0
+        assert not set(spy.compiled) & set(clean_only)
+        assert all(block.taint_body is None for block in clean_only)
+        assert taint_stats(machine)["taint_compiles"] == len(spy.compiled)
+        # One slice holds the whole loop, so no budget cut sends a block
+        # fused: nothing compiles at all.
+        spy.compiled.clear()
+        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE], quantum=10_000)
+        assert spy.compiled == []
+        assert taint_stats(machine)["taint_compiles"] == 0
+
+    def test_corpus_sample_compiles_only_blocks_that_ran_fused(self, monkeypatch):
+        spy = DispatchSpy(monkeypatch)
+        machine, _ = faros_pair(corpus_samples()[0].scenario())
+        clean_only = set(spy.clean_only())
+        assert clean_only and spy.compiled
+        assert not clean_only & set(spy.compiled)
+        assert taint_stats(machine)["taint_compiles"] == len(spy.compiled)
+
+    def test_pure_block_entered_tainted_runs_fused(self, monkeypatch):
+        spy = DispatchSpy(monkeypatch)
+        (machine, tracker, _), _ = run_pair(LOAD_THEN_PURE, seeds=[("src", 4)])
+        pure = assemble(program(LOAD_THEN_PURE, PARK), base=IMAGE_BASE).label("pure")
+        (block,) = [b for b in machine.translator.blocks() if b.start_pc == pure]
+        assert block.pure and block in spy.compiled
+        assert block.taint_body is not None and block.exec_count == 1
+        (regs,) = tracker.banks.snapshot().values()
+        assert {Reg.R2, Reg.R3} <= set(regs)
+
+    def test_record_after_an_appending_run_is_dropped(self):
+        # The entry block's run appends the process tag to every loop
+        # byte; each revert then puts the file tag back alone, so the
+        # loop block's first run appends too, and its second finds the
+        # codes that first run started from.  A record kept after the
+        # appending run would replay there and skip the appends.  The
+        # last phase's first iteration is the loop's first run that
+        # appends nothing: its fetch scans' first lookup of the
+        # appended list misses, which a record carried over from an
+        # appending run, under any key, would count as a hit.
+        start = assemble(program(SPIN_LOOP), base=IMAGE_BASE).label("start")
+
+        def phases(tracker, proc):
+            code = proc.aspace.translate_range(start, 48, AccessKind.READ)
+
+            def revert():
+                tracker.clear_range(code)
+                tracker.taint_range(code, CODE_TAG)
+
+            thread = proc.main_thread
+            return [(thread, 6), revert, (thread, 5), revert, (thread, 5), (thread, 10)]
+
+        on, off = drive_pair(SPIN_LOOP, phases)
+        assert on[1].stats.process_tag_appends == 48 + 2 * 40
+        assert on[0].translator.taint_block_replays == 1
+
+    @pytest.mark.parametrize(
+        "seed, retired",
+        [(("start+16", 8, CODE_TAG), 3), (("start", 40, CODE_TAG), 1)],
+        ids=["third_instruction", "whole_block"],
+    )
+    def test_code_table_overflow_keeps_the_post_instruction_state(
+        self, monkeypatch, seed, retired
+    ):
+        # The table holds the file tag's code alone, so the first
+        # tagged instruction's fetch step overflows it appending the
+        # process tag, inside the entry block's record run: the third
+        # instruction's step among clean ones, or the first of a block
+        # with one code throughout, whose steps run in bulk.
+        monkeypatch.setattr(shadow_module, "MAX_PROV_CODES", 1)
+        spy = DispatchSpy(monkeypatch)
+        on, off = run_pair(PURE_STRAIGHT, seeds=[seed])
+        (machine, tracker, stats), (machine_off, _, stats_off) = on, off
+        assert stats.stop_reason == "fault" == stats_off.stop_reason
+        assert stats.fault.kind == "TaintBudgetExceeded"
+        assert stats.fault.classification == "degraded"
+        assert stats.fault.to_json_dict() == stats_off.fault.to_json_dict()
+        start = assemble(program(PURE_STRAIGHT, PARK), base=IMAGE_BASE).label("start")
+        assert machine.cpu.pc == machine_off.cpu.pc == start + 8 * retired
+        assert tracker.stats.instructions == retired
+        assert tracker.stats.slow_retirements == 1
+        assert spy.clean_only() and spy.compiled == []
 
 
 class TestStraddlingInstructionsFused:

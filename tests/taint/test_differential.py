@@ -24,7 +24,8 @@ channel taint can move through:
   three ways (fast tracker through the translated-tainted tier, fast
   tracker through the instrumented interpreter, reference tracker),
   asserting bit-identical shadow/bank state, retirement-split stats,
-  interner hit/miss counters, and tainted-load observations.  Unlike
+  interner hit/miss counters (at the end and at every load
+  observation), and tainted-load observations.  Unlike
   the co-attached pair (where the reference forces interpretation for
   both), each matrix leg runs on its own machine so the translated leg
   genuinely executes fused per-block taint closures.
@@ -271,6 +272,17 @@ def guest_programs(draw, passes=1):
     whichever instruction crosses a 256-byte page boundary straddles
     two guest pages.
 
+    An optional loop opens each pass: its head is reached by a ``jmp``
+    and each trip loads the next word of the scratch buffer, so every
+    trip runs in the head block's fused closures.  Over a file-tagged
+    image the first trip's fetch scans append the process tag, the
+    second trip's find it there and record the fetch memos, and the
+    later trips hit them, all through the same fetch steps.  Nothing
+    before the first pass's second trip stores or re-reads a tagged
+    byte, so under the process-tag policy that trip's scans make the
+    run's first lookup of the appended list, an interner miss its load
+    observation sees (:func:`interner_at_loads`).
+
     An optional pure self-loop follows the random ops: a drawn
     register-only body counted down in r0 by a drawn trip count, so its
     iterations straddle the 100-instruction slice quantum and it exits
@@ -285,6 +297,17 @@ def guest_programs(draw, passes=1):
         lines += ["    jmp body", f"    .space {skew}", "body:"]
     if passes > 1:
         lines += [f"    movi r7, {passes}", "again:"]
+    if draw(st.booleans()):
+        lines += ["    movi r6, buf", f"    movi r0, {draw(st.integers(2, 6))}"]
+        lines += ["    jmp load_loop", "load_loop:"]
+        lines += [f"    ld r{draw(st.integers(1, 5))}, [r6]", "    addi r6, r6, 4"]
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(REGISTER_KINDS))
+            rd = draw(st.integers(1, 5))
+            rs1 = draw(st.integers(1, 5))
+            rs2 = draw(st.integers(1, 5))
+            lines.append(register_op(draw, kind, rd, rs1, rs2))
+        lines += ["    subi r0, r0, 1", "    cmpi r0, 0", "    jnz load_loop"]
     lines += [
         "inputs:",
         "    movi r6, in_a",
@@ -634,10 +657,28 @@ def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
     return machine, obs_log
 
 
+def interner_at_loads(tracker):
+    """Log ``(tick, hits, misses)`` of *tracker*'s interner at every
+    load its listeners observe.
+
+    The run's totals alone cannot tell a lookup that missed early from
+    the same miss paid by a later lookup of the same key: a fetch memo
+    that answered a scan it should have made moves the miss that way.
+    """
+    log = []
+    interner = tracker.interner
+    tracker.add_load_listener(
+        lambda m, obs: log.append((m.now, interner.hits, interner.misses))
+    )
+    return log
+
+
 def run_translate_matrix(body, policy, seeds):
     translated = TaintTracker(policy=policy, interner=ProvInterner())
     interpreted = TaintTracker(policy=policy, interner=ProvInterner())
     reference = ReferenceTaintTracker(policy=policy)
+    lookups_t = interner_at_loads(translated)
+    lookups_i = interner_at_loads(interpreted)
     machine_t, obs_t = run_single(body, policy, seeds, translated, translate=True)
     machine_i, obs_i = run_single(body, policy, seeds, interpreted, translate=False)
     machine_r, obs_r = run_single(body, policy, seeds, reference, translate=False)
@@ -660,6 +701,7 @@ def run_translate_matrix(body, policy, seeds):
         interpreted.interner.hits,
         interpreted.interner.misses,
     ), "interner call sequences diverged between translated and interpreted"
+    assert lookups_t == lookups_i
     assert tainted_observations(obs_t) == tainted_observations(obs_i)
 
     # Both fast legs vs the reference semantics.
