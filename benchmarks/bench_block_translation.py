@@ -5,20 +5,25 @@ make the *recording* half of record/replay cheap: when no plugin needs
 per-instruction effects, the machine executes whole cached blocks of
 specialized closures instead of fetch/decode/dispatch per instruction.
 This benchmark runs the same compute-heavy guest under
-``MachineConfig(translate=False)`` (the seed ``step_fast`` loop) and
-``translate=True``, then gates on two things:
+``MachineConfig(translate=False)`` (every instruction through the
+``cpu.step`` interpreter) and ``translate=True``, then gates on two
+things:
 
 * **zero drift** -- final instruction count, delivery journal, fault
   records, and guest exit code are bit-identical across the two paths
   (the contract the differential suites pin per-attack);
-* **speedup** -- the translated path is at least 2x faster (best-of-3
-  wall clock) on the uninstrumented workload.
+* **speedup** -- the translated path is at least 4x faster (best-of-3
+  wall clock) on the uninstrumented workload.  The gate was 2x against
+  an effect-free interpreter loop that ``cpu.step`` takes about twice
+  as long as (1.5-1.8 s against 3.2-3.7 s for the interpreted leg on a
+  2-vCPU host, where the translated speedup read 15-16x against that
+  loop and 26-34x against ``cpu.step``), so 4x is the same bar.
 
 Standalone smoke run (no pytest needed, used by CI)::
 
     PYTHONPATH=src python benchmarks/bench_block_translation.py --smoke
 
-It fails (non-zero exit) on drift or if the speedup collapses below 2x.
+It fails (non-zero exit) on drift or if the speedup collapses below 4x.
 """
 
 import sys
@@ -62,7 +67,7 @@ scratch: .word 0
 
 BUDGET = 400_000
 BEST_OF = 3
-MIN_SPEEDUP = 2.0
+MIN_SPEEDUP = 4.0
 
 
 def run_once(translate: bool):

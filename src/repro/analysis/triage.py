@@ -243,8 +243,7 @@ def _faros_outcome(faros: Faros, exit_code: Optional[int] = None,
 
 @job_kind("attack")
 def _run_attack_job(attack: str, transient: bool = False,
-                    metrics: bool = False, sample_every: int = 1,
-                    top_blocks: int = 10,
+                    metrics: bool = False, top_blocks: int = 10,
                     execution: Optional[str] = None) -> JobOutcome:
     """Record/replay one attack scenario with FAROS attached (§V-C).
 
@@ -254,8 +253,7 @@ def _run_attack_job(attack: str, transient: bool = False,
     harness, degrading back to this cold path (with a ``DegradedPool``
     fault record) when the pool cannot serve.
     """
-    session = ObsSession.create(enabled=metrics, sample_every=sample_every,
-                                top_blocks=top_blocks)
+    session = ObsSession.create(enabled=metrics, top_blocks=top_blocks)
     if execution == "warm":
         # Imported lazily: repro.serve imports triage at module level,
         # so this edge of the cycle must resolve at call time.
@@ -276,10 +274,9 @@ def _run_attack_job(attack: str, transient: bool = False,
 
 
 @job_kind("jit")
-def _run_jit_job(name: str, workload: str,
-                 metrics: bool = False, sample_every: int = 1) -> JobOutcome:
+def _run_jit_job(name: str, workload: str, metrics: bool = False) -> JobOutcome:
     """One Table III JIT workload (Java applet or AJAX site)."""
-    session = ObsSession.create(enabled=metrics, sample_every=sample_every)
+    session = ObsSession.create(enabled=metrics)
     with session.span("boot"):
         sample = build_jit_scenario(name, workload)
     faros = Faros(metrics=session.registry)
@@ -296,10 +293,9 @@ def _run_jit_job(name: str, workload: str,
 
 
 @job_kind("corpus")
-def _run_corpus_job(metrics: bool = False, sample_every: int = 1,
-                    **params) -> JobOutcome:
+def _run_corpus_job(metrics: bool = False, **params) -> JobOutcome:
     """One Table IV corpus sample, rebuilt from its picklable spec."""
-    session = ObsSession.create(enabled=metrics, sample_every=sample_every)
+    session = ObsSession.create(enabled=metrics)
     with session.span("boot"):
         spec = SampleSpec.from_params(**params)
     faros = Faros(metrics=session.registry)
@@ -318,9 +314,9 @@ def _run_corpus_job(metrics: bool = False, sample_every: int = 1,
 
 @job_kind("comparison")
 def _run_comparison_job(attack: str, transient: bool = False,
-                        metrics: bool = False, sample_every: int = 1) -> JobOutcome:
+                        metrics: bool = False) -> JobOutcome:
     """One §VI-B row: the same attack under FAROS, Cuckoo, and malfind."""
-    session = ObsSession.create(enabled=metrics, sample_every=sample_every)
+    session = ObsSession.create(enabled=metrics)
     with session.span("boot"):
         builder = ATTACK_BUILDER_REGISTRY[attack]
         attack_obj = builder(transient=transient)
@@ -349,7 +345,7 @@ def _run_comparison_job(attack: str, transient: bool = False,
 
 @job_kind("chaos")
 def _run_chaos_job(attack: str, plan: dict, fault_name: str = "",
-                   metrics: bool = False, sample_every: int = 1,
+                   metrics: bool = False,
                    harness: Optional[str] = None) -> JobOutcome:
     """One chaos-matrix cell: record *attack* under an injected
     :class:`~repro.faults.plan.FaultPlan`, then replay with FAROS.
@@ -368,7 +364,7 @@ def _run_chaos_job(attack: str, plan: dict, fault_name: str = "",
         outcome.extra.setdefault("attack", attack)
         outcome.extra.setdefault("fault_name", fault_name)
         return outcome
-    session = ObsSession.create(enabled=metrics, sample_every=sample_every)
+    session = ObsSession.create(enabled=metrics)
     fault_plan = FaultPlan.from_json_dict(plan)
     extra = {"attack": attack, "fault_name": fault_name,
              "rules": [r.describe() for r in fault_plan.rules]}

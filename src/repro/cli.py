@@ -259,7 +259,6 @@ def _cmd_stats(args: argparse.Namespace) -> Optional[dict]:
         params={
             "attack": args.attack,
             "metrics": True,
-            "sample_every": args.sample_every,
             "top_blocks": args.top,
         },
     )
@@ -476,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--top", type=int, default=10, metavar="N",
         help="how many hot blocks to rank (default 10)",
-    )
-    stats.add_argument(
-        "--sample-every", type=int, default=1, metavar="N",
-        help="profile every Nth retired instruction (default 1 = exact)",
     )
     _add_json_flag(stats)
     chaos = sub.add_parser(

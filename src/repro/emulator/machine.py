@@ -53,12 +53,12 @@ class MachineConfig:
     #: Watchdog: max instructions any thread may retire between syscalls
     #: before it is declared a runaway loop.  None disables.
     syscall_step_budget: Optional[int] = None
-    #: Execute the uninstrumented path through the basic-block
-    #: translation cache (:mod:`repro.isa.translate`).  Semantically
-    #: identical to instruction-at-a-time execution -- same ``instret``,
-    #: journals, faults, and reports -- just faster.  Off means every
-    #: uninstrumented slice runs through ``cpu.step_fast`` (the seed
-    #: path, kept for differential testing and benchmarks).
+    #: Execute through the basic-block translation cache
+    #: (:mod:`repro.isa.translate`), uninstrumented and on the taint
+    #: tier.  Semantically identical to instruction-at-a-time execution
+    #: -- same ``instret``, journals, faults, and reports -- just faster.
+    #: Off means every slice steps the ``cpu.step`` interpreter (kept for
+    #: differential testing and benchmarks).
     translate: bool = True
 
 
@@ -430,12 +430,17 @@ class Machine:
         # recv buffer, can appear and re-arm a gated plugin):
         #
         # * "none"  -- nothing instruments instructions: translated
-        #   blocks (or step_fast when translation is off);
+        #   blocks;
         # * "taint" -- every per-instruction consumer reduces to one
         #   taint tracker: translated blocks with fused Table I
         #   propagation closures (the translated-tainted tier);
-        # * "full"  -- some plugin needs the real effect stream:
-        #   interpreter stepping with the on_insn_exec fan-out.
+        # * "full"  -- some plugin needs the real effect stream (the
+        #   reference tracker): interpreter stepping with the
+        #   on_insn_exec fan-out.
+        #
+        # With translation off, every slice steps the cpu.step
+        # interpreter: "taint" becomes "full", and "none" steps without
+        # the fan-out.
         #
         # Whichever tier runs, the budget passed down is the remaining
         # quantum, so slice boundaries -- and with them event delivery,
@@ -453,7 +458,6 @@ class Machine:
         taint_ctx = (
             taint_unit.block_context(self, thread) if mode == "taint" else None
         )
-        step = cpu.step if instrumented else cpu.step_fast
         executed = 0
         skipped = 0  # uninstrumented retirements not yet reported
         sys_at = 0   # `executed` offset of this slice's latest syscall
@@ -508,7 +512,7 @@ class Machine:
                     continue
             else:
                 try:
-                    fx = step()
+                    fx = cpu.step()
                 except GuestFault as fault:
                     if skipped:
                         on_insns_skipped(self, thread, skipped)
@@ -563,7 +567,6 @@ class Machine:
             taint_ctx = (
                 taint_unit.block_context(self, thread) if mode == "taint" else None
             )
-            step = cpu.step if instrumented else cpu.step_fast
         if skipped:
             on_insns_skipped(self, thread, skipped)
         thread.context = cpu.context()

@@ -82,7 +82,12 @@ class Plugin:
         forces interpreter stepping -- the correct answer for any plugin
         that inspects :class:`~repro.isa.cpu.InstructionEffects` in ways
         the taint tier does not reproduce (e.g. the reference tracker,
-        trace recorders, custom analyses).
+        trace recorders, custom analyses).  A plugin that only counts
+        where execution went should not implement :meth:`on_insn_exec`
+        at all: the hot-block profiler
+        (:class:`~repro.obs.profiler.HotBlockProfiler`) reads the
+        translation cache's per-block counters instead, so an observed
+        run executes the same tier as an unobserved one.
         """
         return None
 
@@ -300,15 +305,18 @@ class PluginManager:
         Returns one of three ``(mode, unit)`` pairs:
 
         * ``("none", None)`` -- no plugin wants per-instruction effects:
-          run the uninstrumented path (translated blocks / step_fast);
+          run the uninstrumented path (translated blocks);
         * ``("taint", tracker)`` -- every effects-wanting plugin reduces
           to the *same* taint engine (:meth:`Plugin.block_taint_unit`):
           run the translated-tainted tier, with fused propagation
           closures standing in for the effect stream;
         * ``("full", None)`` -- at least one plugin needs the real
-          :class:`~repro.isa.cpu.InstructionEffects` stream (or two
-          plugins want different taint engines): step the interpreter
-          and fan out ``on_insn_exec``.
+          :class:`~repro.isa.cpu.InstructionEffects` stream (the
+          reference tracker, or two plugins that want different taint
+          engines): step the interpreter and fan out ``on_insn_exec``.
+          In ``src/`` only the taint trackers implement that hook (FAROS
+          forwards to its tracker), so FAROS runs, observed or not,
+          plan ``"taint"`` once taint exists.
 
         The taint tier must be exactly equivalent to interpreter
         dispatch, and the interpreter fans ``on_insn_exec`` to every

@@ -31,13 +31,8 @@ from repro.isa.instructions import (
     decode,
     signed32,
 )
-from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
+from repro.isa.memory import PhysicalMemory
 from repro.isa.registers import MASK32, Reg, RegisterFile
-
-# Page geometry, derived from the one authoritative definition in
-# repro.isa.memory so the fast-path masks can never drift from the MMU's.
-_PAGE_MASK = PAGE_SIZE - 1
-_FETCH_FAST_LIMIT = PAGE_SIZE - INSTRUCTION_SIZE
 
 #: Capacity of the process-wide decoded-instruction cache.  Sized so a
 #: whole triage corpus of distinct guest images fits with room to spare
@@ -325,147 +320,6 @@ class CPU:
             fx.syscall = True
             return
 
-        raise InvalidInstruction(fx.pc, f"unimplemented opcode {op!r}")  # pragma: no cover
-
-
-    # ------------------------------------------------------------------
-    # the uninstrumented fast path
-    # ------------------------------------------------------------------
-
-    def step_fast(self) -> InstructionEffects:
-        """Execute one instruction WITHOUT building an effects trace.
-
-        Semantically identical to :meth:`step` (same faults, same
-        architectural results, same ``instret``), but skips per-byte
-        address traces and effect records -- the analog of QEMU running
-        translated code with no instrumentation.  The returned
-        :class:`InstructionEffects` carries only the fields the machine
-        loop consumes (``syscall``/``halted``); its memory-access lists
-        are empty, so it must never be fed to analysis plugins.
-        """
-        pc = self.pc
-        memory = self.memory
-        mmu = self.mmu
-        page_offset = pc & _PAGE_MASK
-        if page_offset <= _FETCH_FAST_LIMIT:
-            base = mmu.translate(pc, AccessKind.FETCH)
-            raw = memory.read_bytes(base, INSTRUCTION_SIZE)
-        else:
-            raw = bytes(
-                memory.read_byte(mmu.translate(pc + i, AccessKind.FETCH))
-                for i in range(INSTRUCTION_SIZE)
-            )
-        try:
-            insn = cached_decode(raw)
-        except DecodeError as exc:
-            raise InvalidInstruction(pc, str(exc)) from None
-
-        fx = InstructionEffects(
-            pc=pc,
-            insn=insn,
-            next_pc=(pc + INSTRUCTION_SIZE) & MASK32,
-            fetch_paddrs=(),
-        )
-        self._execute_fast(insn, fx)
-        self.pc = fx.next_pc
-        self.instret += 1
-        if fx.halted:
-            self.halted = True
-        return fx
-
-    def _fast_load(self, vaddr: int, size: int) -> int:
-        if (vaddr & _PAGE_MASK) <= PAGE_SIZE - size:
-            paddr = self.mmu.translate(vaddr, AccessKind.READ)
-            if size == 4:
-                return self.memory.read_word(paddr)
-            return self.memory.read_byte(paddr)
-        value, _paddrs = self._load(vaddr, size)
-        return value
-
-    def _fast_store(self, vaddr: int, size: int, value: int) -> None:
-        if (vaddr & _PAGE_MASK) <= PAGE_SIZE - size:
-            paddr = self.mmu.translate(vaddr, AccessKind.WRITE)
-            if size == 4:
-                self.memory.write_word(paddr, value)
-            else:
-                self.memory.write_byte(paddr, value)
-        else:
-            self._store(vaddr, size, value)
-
-    def _execute_fast(self, insn: Instruction, fx: InstructionEffects) -> None:
-        op = insn.op
-        regs = self.regs
-
-        if op is Op.NOP:
-            return
-        if op is Op.HLT:
-            fx.halted = True
-            return
-        if op is Op.MOV:
-            regs.write(insn.rd, regs.read(insn.rs1))
-            return
-        if op is Op.MOVI:
-            regs.write(insn.rd, insn.imm)
-            return
-        if op is Op.LD or op is Op.LDB:
-            vaddr = (regs.read(insn.rs1) + signed32(insn.imm)) & MASK32
-            regs.write(insn.rd, self._fast_load(vaddr, 4 if op is Op.LD else 1))
-            return
-        if op is Op.ST or op is Op.STB:
-            vaddr = (regs.read(insn.rs1) + signed32(insn.imm)) & MASK32
-            size = 4 if op is Op.ST else 1
-            self._fast_store(vaddr, size, regs.read(insn.rs2) & (MASK32 if size == 4 else 0xFF))
-            return
-        if op is Op.PUSH:
-            sp = (regs.read(Reg.SP) - 4) & MASK32
-            self._fast_store(sp, 4, regs.read(insn.rs1))
-            regs.write(Reg.SP, sp)
-            return
-        if op is Op.POP:
-            sp = regs.read(Reg.SP)
-            regs.write(insn.rd, self._fast_load(sp, 4))
-            regs.write(Reg.SP, (sp + 4) & MASK32)
-            return
-        if op in REG_ALU_OPS:
-            regs.write(insn.rd, _alu(op, regs.read(insn.rs1), regs.read(insn.rs2)))
-            return
-        if op in IMM_ALU_OPS:
-            a = regs.read(insn.rs1)
-            if op is Op.NOT:
-                regs.write(insn.rd, (~a) & MASK32)
-            else:
-                regs.write(insn.rd, _alu(_IMM_TO_REG[op], a, insn.imm))
-            return
-        if op is Op.CMP or op is Op.CMPI:
-            a = regs.read(insn.rs1)
-            b = regs.read(insn.rs2) if op is Op.CMP else insn.imm
-            self.flag_z = (a & MASK32) == (b & MASK32)
-            self.flag_n = signed32(a) < signed32(b)
-            return
-        if op is Op.JMP:
-            fx.next_pc = insn.imm & MASK32
-            return
-        if op in COND_BRANCH_OPS:
-            if _branch_taken(op, self.flag_z, self.flag_n):
-                fx.next_pc = insn.imm & MASK32
-            return
-        if op is Op.CALL:
-            regs.write(Reg.LR, fx.next_pc)
-            fx.next_pc = insn.imm & MASK32
-            return
-        if op is Op.CALLR:
-            regs.write(Reg.LR, fx.next_pc)
-            fx.next_pc = regs.read(insn.rs1)
-            return
-        if op is Op.JMPR:
-            fx.next_pc = regs.read(insn.rs1)
-            return
-        if op is Op.RET:
-            fx.next_pc = regs.read(Reg.LR)
-            return
-        if op is Op.SYSCALL:
-            fx.syscall = True
-            return
         raise InvalidInstruction(fx.pc, f"unimplemented opcode {op!r}")  # pragma: no cover
 
 

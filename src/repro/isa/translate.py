@@ -1,8 +1,8 @@
 """Basic-block translation cache: the QEMU translated-block analog.
 
-:class:`CPU.step_fast` already skips effect tracing, but it still pays
-one Python call, one decode-cache probe, one fetch translation, and one
-if/elif dispatch *per retired instruction*.  This module translates each
+The interpreter (:meth:`CPU.step`) pays a fetch translation per byte, a
+decode-cache probe, an if/elif dispatch and an effects record *per
+retired instruction*.  This module translates each
 straight-line run of guest code -- ending at the first branch, syscall,
 ``HLT``, undecodable word, or page boundary -- **once**, into a
 :class:`TranslatedBlock` of per-instruction specialized closures.  An
@@ -205,6 +205,7 @@ class TranslatedBlock:
         "chain",
         "exec_count",
         "retired",
+        "taint_slow",
         "_code_version",
         "insns",
         "term_insn",
@@ -255,6 +256,10 @@ class TranslatedBlock:
         self.chain: Dict[int, "TranslatedBlock"] = {}
         self.exec_count = 0
         self.retired = 0
+        #: Slow retirements on the taint tier (:meth:`execute_taint` and
+        #: :meth:`BlockTranslator._replay`), the per-block share of the
+        #: tracker's ``slow_retirements``.
+        self.taint_slow = 0
         self._code_version = cpu.memory.code_version
         #: The decoded instructions behind ``body``/``term`` -- kept so
         #: the taint tier can compile its fused closures lazily.
@@ -529,10 +534,12 @@ class TranslatedBlock:
             retired = i
             return "fall"
         finally:
+            slow = stats.slow_retirements - slow0
             self.exec_count += 1
             self.retired += retired
+            self.taint_slow += slow
             stats.instructions += retired
-            stats.fast_retirements += retired - (stats.slow_retirements - slow0)
+            stats.fast_retirements += retired - slow
 
 
 def _mem(fn: Callable) -> Callable:
@@ -1572,6 +1579,7 @@ class BlockTranslator:
                     reason = block.execute(budget)
                 self.taint_block_replays += k
                 retired = cpu.instret - before
+                block.taint_slow += k * slow
                 stats.instructions += retired
                 stats.slow_retirements += k * slow
                 stats.fast_retirements += retired - k * slow
@@ -1601,13 +1609,16 @@ class BlockTranslator:
         except Exception:
             # Fetch step i raised: retire through instruction i.
             block.execute(i + 1)
+            slow = stats.slow_retirements - slow0
+            block.taint_slow += slow
             stats.instructions += i + 1
-            stats.fast_retirements += i + 1 - (stats.slow_retirements - slow0)
+            stats.fast_retirements += i + 1 - slow
             raise
         before = cpu.instret
         reason = block.execute(budget)
         retired = cpu.instret - before
         slow = stats.slow_retirements - slow0
+        block.taint_slow += slow
         stats.instructions += retired
         stats.fast_retirements += retired - slow
         if stats.process_tag_appends == appends0:
@@ -1629,26 +1640,15 @@ class BlockTranslator:
 
     def blocks(self) -> List[TranslatedBlock]:
         """All currently cached blocks (invalidated blocks drop their history)."""
+        return [block for _space, blocks in self.spaces() for block in blocks]
+
+    def spaces(self) -> List[Tuple[object, List[TranslatedBlock]]]:
+        """``(address space, its cached blocks)`` for every live address
+        space: the MMU each block was translated under."""
         return [
-            block
-            for per_as in self._caches.values()
-            for entry in per_as.values()
-            for block in entry[1].values()
+            (mmu, [block for entry in per_as.values() for block in entry[1].values()])
+            for mmu, per_as in self._caches.items()
         ]
-
-    def top_blocks(self, n: int = 10) -> List[Tuple[int, int, int]]:
-        """The *n* hottest cached blocks as ``(start_pc, retired, executions)``.
-
-        Deterministically ordered (retired desc, then start_pc).  Only
-        *currently cached* blocks are reported: a block invalidated by a
-        code write takes its counts with it, which is the right bias for
-        a profiler aimed at steady-state hot code.
-        """
-        ranked = sorted(
-            (b for b in self.blocks() if b.exec_count),
-            key=lambda b: (-b.retired, b.start_pc),
-        )
-        return [(b.start_pc, b.retired, b.exec_count) for b in ranked[:n]]
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (also exported as ``translate.*`` gauges)."""

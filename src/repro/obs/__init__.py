@@ -1,8 +1,8 @@
 """``repro.obs``: the whole-system observability layer.
 
 Metrics (counters / gauges / histograms with a zero-cost disabled path),
-phase-span tracing, and a deterministic sampling hot-block profiler --
-the measurement substrate the ROADMAP's performance work reports
+phase-span tracing, and a hot-block profiler read off the translation
+cache -- the measurement substrate the ROADMAP's performance work reports
 against.  See ``docs/observability.md`` for the metric vocabulary and
 ``repro stats`` for the CLI surface.
 """

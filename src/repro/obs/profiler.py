@@ -1,69 +1,38 @@
-"""Sampling hot-block profiler: which guest code is the machine (and the
-taint engine) actually spending its time in?
+"""Hot-block profiler: which guest code is the machine (and the taint
+engine) actually spending its time in?
 
 The paper reports per-attack instruction counts and taint overhead
 (Table V, Figs. 9-10) as totals; to *act* on overhead you need the
 breakdown -- which basic blocks retire the most instructions, and which
 of them force the taint tracker onto its slow propagation path.
-:class:`HotBlockProfiler` is an emulator plugin that attributes both.
+:class:`HotBlockProfiler` is an emulator plugin that reads both off the
+machine's basic-block translation cache (:mod:`repro.isa.translate`):
+each :class:`~repro.isa.translate.TranslatedBlock` already counts the
+instructions it retired and, on the taint tier, its slow retirements
+(``taint_slow``).
 
-A **basic block** here is a maximal straight-line run: it starts at the
-target of a control transfer (or a thread's first observed instruction,
-or syscall return) and ends at the next control-transfer / syscall /
-halt.  Blocks are keyed by their start virtual address, so the same loop
-body accumulates across iterations and across threads executing shared
-code.
+The profiler implements no per-instruction hook, so attaching it
+changes nothing about how the machine executes: an observed run runs
+the same translated (or translated-tainted) tier as an unobserved one,
+with the same verdicts and counters.  Blocks are keyed by their start
+virtual address, summed over the address spaces that cached one there
+(code shared between processes accumulates), and each block is named
+after the processes whose address space it was translated under.
 
-**Sampling** is deterministic: every ``sample_every``-th retired
-instruction (counted over the instructions this profiler observes) is
-attributed, with weight ``sample_every``, to the block executing at that
-moment.  Because the substrate's instruction streams are deterministic
-under record/replay, two replays of the same recording produce
-*identical* rankings -- which the test suite locks in.  ``sample_every=1``
-(the default) is exact attribution.
-
-**Taint work** attribution requires registering the profiler *after*
-the taint tracker (so each instruction's propagation outcome is already
-booked when the profiler sees it): the profiler then charges the delta
-of the tracker's ``slow_retirements`` counter to the current block.
-:meth:`ObsSession.plugins_for <repro.obs.session.ObsSession.plugins_for>`
-handles the ordering.
-
-The profiler overrides ``on_insn_exec``, so attaching it forces the
-machine onto the instrumented path even while the system holds no taint
--- profiling is not free, which is exactly why it lives behind
-``--metrics`` rather than in the default plugin set.
-
-**Passive mode** (``passive=True``) removes that cost: the profiler
-declines per-instruction effects and instead reads retirement counts
-straight off the machine's basic-block translation cache
-(:mod:`repro.isa.translate`), whose :class:`TranslatedBlock` objects
-already count executions and retirements per block.  Passive
-attribution is exact (not sampled) but only covers code still resident
-in the cache -- a block invalidated by a code write takes its counts
-with it -- and knows nothing about taint work or process names.  Any
-slice another plugin forces onto the instrumented path is still
-observed the normal way; rankings merge both sources.
+Attribution is exact but covers only code still resident in the cache:
+a block invalidated by a code write takes its counts with it, so the
+ranked ``taint_slow`` sums to at most the tracker's
+``slow_retirements``, and to exactly that on a run that invalidated no
+block.  Under ``MachineConfig(translate=False)`` there is no cache and
+the ranking is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.emulator.plugins import Plugin
-from repro.isa.instructions import COND_BRANCH_OPS, Op
-
-#: Opcodes that end a basic block (any control transfer).
-BLOCK_TERMINATORS = frozenset(COND_BRANCH_OPS) | {
-    Op.JMP,
-    Op.JMPR,
-    Op.CALL,
-    Op.CALLR,
-    Op.RET,
-    Op.SYSCALL,
-    Op.HLT,
-}
 
 
 @dataclass
@@ -85,146 +54,60 @@ class BlockProfile:
 
 
 class HotBlockProfiler(Plugin):
-    """Ranks basic blocks by retired instructions and taint-slow work."""
+    """Ranks translated blocks by retired instructions and taint-slow work."""
 
     name = "hotblocks"
 
-    def __init__(self, sample_every: int = 1, tracker=None, passive: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.sample_every = sample_every
-        #: Passive profiling: attribute retirements from the machine's
-        #: translation cache instead of forcing instrumented stepping.
-        self.passive = passive
-        self._translator = None
-        #: The taint tracker whose slow-path work is attributed per
-        #: block; may be (re)bound any time before the run starts.
-        self.tracker = tracker
-        #: block start pc -> [retired weight, taint slow count]
-        self._blocks: Dict[int, List[int]] = {}
-        #: block start pc -> {process names seen executing it}
-        self._block_procs: Dict[int, set] = {}
-        self._current: Dict[int, int] = {}  # tid -> current block start pc
-        self._countdown = sample_every
-        self._last_slow = 0
-        #: Retirements that happened on the uninstrumented bulk path
-        #: (no pc available, so they cannot be attributed to a block).
-        self.unattributed = 0
-        self.observed = 0
-
-    # ------------------------------------------------------------------
-    # plugin callbacks
-    # ------------------------------------------------------------------
-
-    def wants_insn_effects(self) -> bool:
-        if self.passive:
-            return False
-        return super().wants_insn_effects()
+        self._machine = None
 
     def on_machine_start(self, machine) -> None:
-        if self.tracker is not None:
-            self._last_slow = self.tracker.stats.slow_retirements
-        if self.passive:
-            self._translator = getattr(machine, "translator", None)
+        self._machine = machine
 
-    def on_insn_exec(self, machine, thread, fx) -> None:
-        tid = thread.tid
-        block = self._current.get(tid)
-        if block is None:
-            block = fx.pc
-            self._current[tid] = block
-            procs = self._block_procs.get(block)
-            if procs is None:
-                procs = self._block_procs[block] = set()
-            procs.add(thread.process.name)
-
-        cell = self._blocks.get(block)
-        if cell is None:
-            cell = self._blocks[block] = [0, 0]
-
-        self.observed += 1
-        self._countdown -= 1
-        if self._countdown == 0:
-            self._countdown = self.sample_every
-            cell[0] += self.sample_every
-
-        tracker = self.tracker
-        if tracker is not None:
-            slow = tracker.stats.slow_retirements
-            if slow != self._last_slow:
-                cell[1] += slow - self._last_slow
-                self._last_slow = slow
-
-        if fx.insn.op in BLOCK_TERMINATORS or fx.syscall or fx.halted:
-            self._current.pop(tid, None)
-
-    def on_insns_skipped(self, machine, thread, count: int) -> None:
-        # Bulk fast-path retirements carry no pc; account them so
-        # coverage (observed + unattributed == total) stays checkable.
-        self.unattributed += count
-        self._current.pop(thread.tid, None)
-
-    def on_syscall_return(self, machine, thread, number, result) -> None:
-        # The kernel may have migrated/rescheduled the thread; its next
-        # instruction starts a fresh block either way (SYSCALL is a
-        # terminator, so this is belt-and-braces for blocked syscalls
-        # that complete much later).
-        self._current.pop(thread.tid, None)
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-
-    def _merged_blocks(self) -> Dict[int, List[int]]:
-        """Instrumented observations, plus translated-block counts when
-        passive.  Identical to ``self._blocks`` in the default mode."""
-        if not self.passive or self._translator is None:
-            return self._blocks
-        merged = {pc: list(cell) for pc, cell in self._blocks.items()}
-        for block in self._translator.blocks():
-            if not block.exec_count:
-                continue
-            cell = merged.get(block.start_pc)
-            if cell is None:
-                merged[block.start_pc] = [block.retired, 0]
-            else:
+    def _blocks(self) -> Dict[int, list]:
+        """start pc -> [retired, taint slow, process names], over every
+        executed block in the cache."""
+        machine = self._machine
+        translator = machine.translator if machine is not None else None
+        if translator is None:
+            return {}
+        names = {p.aspace: p.name for p in machine.kernel.processes.values()}
+        merged: Dict[int, list] = {}
+        for space, blocks in translator.spaces():
+            name = names.get(space)
+            for block in blocks:
+                if not block.exec_count:
+                    continue
+                cell = merged.get(block.start_pc)
+                if cell is None:
+                    cell = merged[block.start_pc] = [0, 0, set()]
                 cell[0] += block.retired
+                cell[1] += block.taint_slow
+                if name is not None:
+                    cell[2].add(name)
         return merged
 
     def top(self, n: int = 10) -> List[BlockProfile]:
-        """The *n* hottest blocks, by retired weight then taint work.
+        """The *n* hottest blocks, by retired instructions then taint work.
 
         Ties break on ascending start address, so rankings are total
         orders and deterministic across replays.
         """
-        ranked = sorted(
-            self._merged_blocks().items(),
-            key=lambda item: (-item[1][0], -item[1][1], item[0]),
-        )
+        return self._ranked(self._blocks(), n)
+
+    @staticmethod
+    def _ranked(blocks: Dict[int, list], n: int) -> List[BlockProfile]:
+        ranked = sorted(blocks.items(), key=lambda item: (-item[1][0], -item[1][1], item[0]))
         return [
-            BlockProfile(
-                start_pc=pc,
-                retired=cell[0],
-                taint_slow=cell[1],
-                processes=sorted(self._block_procs.get(pc, ())),
-            )
+            BlockProfile(start_pc=pc, retired=cell[0], taint_slow=cell[1],
+                         processes=sorted(cell[2]))
             for pc, cell in ranked[:n]
         ]
 
     def snapshot(self, n: int = 10) -> dict:
-        blocks = self._merged_blocks()
-        snap = {
-            "sample_every": self.sample_every,
+        blocks = self._blocks()
+        return {
             "blocks_seen": len(blocks),
-            "observed": self.observed,
-            "unattributed": self.unattributed,
-            "top": [b.to_dict() for b in self.top(n)],
+            "top": [b.to_dict() for b in self._ranked(blocks, n)],
         }
-        if self.passive:
-            translator = self._translator
-            snap["passive"] = True
-            snap["translated_retired"] = (
-                sum(b.retired for b in translator.blocks()) if translator is not None else 0
-            )
-        return snap

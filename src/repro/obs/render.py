@@ -61,11 +61,7 @@ def render_snapshot(snapshot: Optional[dict], title: str = "observability snapsh
 
     hot = snapshot.get("hot_blocks")
     if hot:
-        lines.append(
-            f"-- hot blocks (top {len(hot['top'])} of {hot['blocks_seen']}, "
-            f"sample_every={hot['sample_every']}, "
-            f"unattributed={hot['unattributed']:,})"
-        )
+        lines.append(f"-- hot blocks (top {len(hot['top'])} of {hot['blocks_seen']})")
         lines.append(
             f"  {'start_pc':<12} {'retired':>12} {'taint_slow':>12}  processes"
         )

@@ -4,9 +4,10 @@ Every analysis run that wants telemetry needs the same three pieces
 wired the same way -- a :class:`~repro.obs.metrics.MetricsRegistry` for
 the component gauges/counters, a :class:`~repro.obs.spans.Tracer` for
 the boot/attack/detection/report phases, and a
-:class:`~repro.obs.profiler.HotBlockProfiler` ordered *after* the taint
-tracker so slow-path work attributes correctly.  :class:`ObsSession`
-bundles them so call sites read::
+:class:`~repro.obs.profiler.HotBlockProfiler` that ranks the machine's
+translated blocks at snapshot time.  The profiler implements no
+per-instruction hook, so an observed run executes the same tier as an
+unobserved one.  :class:`ObsSession` bundles them so call sites read::
 
     session = ObsSession.create(metrics_enabled)
     faros = Faros(metrics=session.registry)
@@ -48,16 +49,14 @@ class ObsSession:
         self.top_blocks = top_blocks
 
     @classmethod
-    def create(
-        cls, enabled: bool, sample_every: int = 1, top_blocks: int = 10
-    ) -> "ObsSession":
+    def create(cls, enabled: bool, top_blocks: int = 10) -> "ObsSession":
         """An enabled session with fresh instruments, or the null wiring."""
         if not enabled:
             return cls(NULL_REGISTRY, NULL_TRACER, None)
         return cls(
             MetricsRegistry(enabled=True),
             Tracer(enabled=True),
-            HotBlockProfiler(sample_every=sample_every),
+            HotBlockProfiler(),
             top_blocks=top_blocks,
         )
 
@@ -70,13 +69,10 @@ class ObsSession:
         return self.tracer.span(name, clock=clock)
 
     def plugins_for(self, faros) -> List:
-        """The plugin list for an analysis run: FAROS first, then the
-        profiler bound to its tracker (profiling order matters -- the
-        tracker must book each instruction's propagation outcome before
-        the profiler reads the slow-retirement delta)."""
+        """The plugin list for an analysis run: FAROS, then the profiler
+        when the session is enabled."""
         if self.profiler is None:
             return [faros]
-        self.profiler.tracker = faros.tracker
         return [faros, self.profiler]
 
     def snapshot(self, top_blocks: Optional[int] = None) -> dict:

@@ -8,13 +8,25 @@ numbers in the job's report export must be the same object's numbers --
 
 import json
 
+import pytest
+
 from repro.analysis.triage import (
+    ATTACK_BUILDER_REGISTRY,
     STATUS_OK,
+    TriageJob,
     TriageResult,
     attack_jobs,
+    corpus_jobs,
     execute_job,
     run_triage,
 )
+from repro.emulator.record_replay import record, replay
+from repro.faros import Faros
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import ObsSession
+from repro.obs.spans import Tracer
+from repro.serve.pool import warm_attack_outcome
+from repro.workloads.corpus import corpus_samples
 
 #: Snapshot keys that are deterministic functions of the guest execution
 #: (wall-clock spans and absolute interner cache sizes are not -- the
@@ -85,3 +97,58 @@ class TestMetricsStayOptIn:
         # job descriptors stay byte-identical on the wire.
         [job] = attack_jobs(["code_injection"])
         assert "metrics" not in job.params
+
+
+def _attack_job(attack, execution, metrics):
+    params = {"attack": attack}
+    if execution is not None:
+        params["execution"] = execution
+    if metrics:
+        params["metrics"] = True
+    return TriageJob(job_id=0, name=attack, kind="attack", params=params)
+
+
+def _unobserved_gauges(attack, execution):
+    """The deterministic gauges of *attack* run with the plugins of a
+    metrics-off job (FAROS alone, no profiler) and a live registry."""
+    session = ObsSession(MetricsRegistry(enabled=True), Tracer(enabled=True), None)
+    if execution == "warm":
+        warm_attack_outcome(attack, session=session)
+    else:
+        faros = Faros(metrics=session.registry)
+        replay(record(ATTACK_BUILDER_REGISTRY[attack]().scenario),
+               plugins=session.plugins_for(faros), metrics=session.registry)
+    gauges = session.snapshot()["gauges"]
+    return {name: gauges[name] for name in _DETERMINISTIC_GAUGES}
+
+
+def _without_metrics(report):
+    return {key: value for key, value in report.items() if key != "metrics"}
+
+
+class TestObservedRunsExecuteTheShippedTier:
+    def test_attack_job_runs_on_the_taint_tier(self):
+        [job] = attack_jobs(["process_hollowing"], metrics=True)
+        gauges = execute_job(job).metrics["gauges"]
+        assert gauges["translate.taint_executions"] > 0
+        assert gauges["translate.taint_single_steps"] == 0
+
+    def test_corpus_job_runs_on_the_taint_tier(self):
+        [job] = corpus_jobs(corpus_samples()[:1], metrics=True)
+        gauges = execute_job(job).metrics["gauges"]
+        assert gauges["translate.taint_executions"] > 0
+        assert gauges["translate.taint_single_steps"] == 0
+
+    @pytest.mark.parametrize("execution", [None, "warm"], ids=["cold", "warm"])
+    def test_metrics_on_and_off_agree(self, execution):
+        # The interner's counters depend on what the process interned
+        # before; the metrics-off job runs first, so both runs whose
+        # gauges are compared see the same interner.
+        for attack in sorted(ATTACK_BUILDER_REGISTRY):
+            off = execute_job(_attack_job(attack, execution, metrics=False))
+            on = execute_job(_attack_job(attack, execution, metrics=True))
+            assert on.status == off.status == STATUS_OK, attack
+            assert on.verdict == off.verdict, attack
+            assert _without_metrics(on.report) == _without_metrics(off.report), attack
+            gauges = {name: on.metrics["gauges"][name] for name in _DETERMINISTIC_GAUGES}
+            assert gauges == _unobserved_gauges(attack, execution), attack

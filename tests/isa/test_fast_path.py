@@ -1,8 +1,10 @@
 """Equivalence tests: the uninstrumented fast path vs. full stepping.
 
-Record/replay correctness depends on both paths retiring *identical*
-instruction streams -- a recording made on the fast path must replay
-bit-for-bit under the instrumented path FAROS uses.
+The uninstrumented fast path is the basic-block translation cache;
+full stepping is the ``cpu.step`` interpreter.  Record/replay
+correctness depends on both paths retiring *identical* instruction
+streams -- a recording made on the fast path must replay bit-for-bit
+under any instrumented path.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.isa.cpu import CPU
 from repro.isa.errors import InvalidInstruction, PageFault
 from repro.isa.memory import PAGE_SIZE, PhysicalMemory
 from repro.isa.registers import Reg
+from repro.isa.translate import BlockTranslator
 
 from tests.conftest import spawn_asm
 from tests.isa.test_cpu import MEM_SIZE, make_cpu
@@ -31,14 +34,19 @@ PROGRAMS = [
 ]
 
 
+def run_translated(cpu, translator=None):
+    if translator is None:
+        translator = BlockTranslator(cpu.memory)
+    while not cpu.halted:
+        translator.run(cpu, 100_000)
+    return cpu
+
+
 def run_both(source):
     slow = make_cpu(source)
-    fast = make_cpu(source)
     while not slow.halted:
         slow.step()
-    while not fast.halted:
-        fast.step_fast()
-    return slow, fast
+    return slow, run_translated(make_cpu(source))
 
 
 class TestPathEquivalence:
@@ -71,22 +79,29 @@ class TestPathEquivalence:
         mem.write_bytes(0, bytes([0xEE] + [0] * 7))
         cpu = CPU(mem)
         with pytest.raises(InvalidInstruction):
-            cpu.step_fast()
+            cpu.step()
+        with pytest.raises(InvalidInstruction):
+            BlockTranslator(mem).run(cpu, 100)
+        assert (cpu.pc, cpu.instret) == (0, 0)
 
     def test_decode_cache_never_stale_for_modified_code(self):
         # Overwriting an instruction's bytes must change what executes:
-        # the cache keys on content, not address.
+        # the decode cache keys on content and the block cache drops
+        # blocks of a rewritten page.
         source = "movi r1, 1\nhlt"
         cpu = make_cpu(source)
-        cpu.step_fast()
+        translator = BlockTranslator(cpu.memory)
+        run_translated(cpu, translator)
         assert cpu.regs.read(Reg.R1) == 1
         # Patch the first instruction to movi r1, 2 and re-run from 0.
         from repro.isa.assembler import assemble
 
         cpu.memory.write_bytes(0, assemble("movi r1, 2").code)
         cpu.pc = 0
-        cpu.step_fast()
+        cpu.halted = False
+        run_translated(cpu, translator)
         assert cpu.regs.read(Reg.R1) == 2
+        assert translator.invalidations == 1
 
 
 class TestMachineFastPathSelection:

@@ -1,4 +1,5 @@
-"""Page-crossing memory accesses: both CPU paths and the taint engine.
+"""Page-crossing memory accesses: the interpreter, translated blocks and
+the taint engine.
 
 Words and instruction fetches that straddle a 256-byte page boundary
 take the slow per-byte path; these tests pin down that both execution
@@ -16,6 +17,7 @@ from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU, AccessKind
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, FrameAllocator, PhysicalMemory
 from repro.isa.registers import Reg
+from repro.isa.translate import BlockTranslator
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
 from repro.taint.reference import ReferenceTaintTracker
@@ -42,9 +44,9 @@ def make_cpu_with_paging():
     return cpu, aspace
 
 
-@pytest.mark.parametrize("step_name", ["step", "step_fast"])
+@pytest.mark.parametrize("path", ["step", "translated"])
 class TestPageCrossingData:
-    def test_word_store_and_load_across_boundary(self, step_name):
+    def test_word_store_and_load_across_boundary(self, path):
         cpu, aspace = make_cpu_with_paging()
         boundary = 0x1000 + PAGE_SIZE - 2  # word spans both pages
         prog = assemble(
@@ -62,9 +64,13 @@ class TestPageCrossingData:
             paddr = aspace.translate(0x1000 + i, AccessKind.READ)
             cpu.memory.write_byte(paddr, byte)
         cpu.pc = 0x1000
-        step = getattr(cpu, step_name)
-        while not cpu.halted:
-            step()
+        if path == "step":
+            while not cpu.halted:
+                cpu.step()
+        else:
+            translator = BlockTranslator(cpu.memory)
+            while not cpu.halted:
+                translator.run(cpu, 100)
         assert cpu.regs.read(Reg.R3) == 0xCAFEBABE
         # The two halves live in physically non-adjacent frames.
         pa = aspace.translate(boundary + 1, AccessKind.READ)

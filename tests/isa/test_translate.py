@@ -19,6 +19,7 @@ from repro.isa.instructions import INSTRUCTION_SIZE, Op, encode, make
 from repro.isa.memory import PAGE_SIZE, PhysicalMemory
 from repro.isa.registers import Reg
 from repro.isa.translate import BlockTranslator
+from repro.obs.profiler import HotBlockProfiler
 
 from tests.conftest import spawn_asm
 from tests.isa.test_cpu import MEM_SIZE, make_cpu
@@ -110,13 +111,32 @@ class TestCacheBehaviour:
         assert tr.translations == 2
 
     def test_top_blocks_deterministic(self):
-        cpu, tr = make_translated(
-            "movi r1, 9\nloop: subi r1, r1, 1\ncmpi r1, 0\njnz loop\nhlt"
+        # The hot-block profiler ranks the cache's own blocks: a total
+        # order that accounts every retirement of a run with no
+        # invalidation, each block named after its process.
+        machine = Machine(MachineConfig())
+        profiler = machine.plugins.register(HotBlockProfiler())
+        spawn_asm(
+            machine,
+            "loop.exe",
+            """
+            start:
+                movi r1, 9
+            loop:
+                subi r1, r1, 1
+                cmpi r1, 0
+                jnz loop
+                movi r1, 0
+                movi r0, SYS_EXIT
+                syscall
+            """,
         )
-        run_translated(cpu, tr)
-        top = tr.top_blocks(4)
-        assert top == sorted(top, key=lambda t: (-t[1], t[0]))
-        assert sum(retired for _pc, retired, _x in top) == cpu.instret
+        machine.run(10_000)
+        top = profiler.top(10)
+        keys = [(-b.retired, b.start_pc) for b in top]
+        assert keys == sorted(keys)
+        assert sum(b.retired for b in top) == machine.now
+        assert all(b.processes == ["loop.exe"] for b in top)
 
     def test_taint_tier_counters_idle_on_uninstrumented_runs(self):
         # The translated-tainted tier (test_translate_taint.py) shares
@@ -133,9 +153,10 @@ class TestCacheBehaviour:
 class TestEquivalence:
     @pytest.mark.parametrize("source", PROGRAMS)
     def test_translated_matches_step_fast(self, source):
+        # The reference is the cpu.step interpreter.
         ref = make_cpu(source)
         while not ref.halted:
-            ref.step_fast()
+            ref.step()
         cpu, tr = make_translated(source)
         run_translated(cpu, tr)
         assert cpu.regs.snapshot() == ref.regs.snapshot()
@@ -147,7 +168,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("budget", [1, 2, 3, 7])
     def test_budget_cuts_are_exact(self, source, budget):
         """Executing through the translator with any per-call budget
-        retires exactly the same stream as step_fast -- the property
+        retires exactly the same stream as cpu.step -- the property
         watchdogs and FaultPlan instret triggers rely on."""
         ref = make_cpu(source)
         cpu, tr = make_translated(source)
@@ -156,7 +177,7 @@ class TestEquivalence:
             tr.run(cpu, budget)
             assert cpu.instret - before <= budget
             while ref.instret < cpu.instret:
-                ref.step_fast()
+                ref.step()
             assert (cpu.pc, cpu.instret) == (ref.pc, ref.instret)
             assert cpu.regs.snapshot() == ref.regs.snapshot()
         assert ref.halted
@@ -174,7 +195,7 @@ class TestPreciseFaults:
 
     def test_undecodable_after_valid_prefix(self):
         # Valid prologue, then junk: the prefix retires, then the fault
-        # lands precisely on the junk pc -- as step_fast would.
+        # lands precisely on the junk pc -- as cpu.step would.
         mem = PhysicalMemory(MEM_SIZE)
         prog = assemble("movi r1, 1\nmovi r2, 2")
         mem.write_bytes(0, prog.code)
@@ -200,7 +221,7 @@ class TestPreciseFaults:
         ref.mmu = GuardedMMU()
         with pytest.raises(PageFault):
             while True:
-                ref.step_fast()
+                ref.step()
         cpu, tr = make_translated(source)
         cpu.mmu = GuardedMMU()
         with pytest.raises(PageFault):
@@ -277,7 +298,7 @@ class TestSelfLoops:
         assert tr.chain_hits == 38
         assert tr.lookups == 3  # entry, loop head, halt
         assert_executions_add_up(tr)
-        assert sum(retired for _pc, retired, _x in tr.top_blocks()) == cpu.instret
+        assert sum(block.retired for block in tr.blocks()) == cpu.instret
 
     @pytest.mark.parametrize("budget", [5, 7, 11, 13, 25])
     def test_budget_cuts_at_every_offset(self, budget):
@@ -292,7 +313,7 @@ class TestSelfLoops:
             tr.run(cpu, budget)
             assert cpu.instret - before <= budget
             while ref.instret < cpu.instret:
-                ref.step_fast()
+                ref.step()
             assert (cpu.pc, cpu.instret) == (ref.pc, ref.instret)
             assert cpu.regs.snapshot() == ref.regs.snapshot()
             assert (cpu.flag_z, cpu.flag_n) == (ref.flag_z, ref.flag_n)
@@ -371,7 +392,7 @@ class TestPageStraddlingCode:
         source = body + "\nhlt"
         ref = make_cpu(source, base=4)
         while not ref.halted:
-            ref.step_fast()
+            ref.step()
         cpu, tr = make_translated(source, base=4)
         run_translated(cpu, tr)
         assert any(block.tail is not None for block in tr.blocks())
@@ -393,7 +414,8 @@ class TestSharedDecodeCache:
             mem = PhysicalMemory(MEM_SIZE)
             mem.write_bytes(0, raw + encode(make(Op.HLT)))
             cpu = CPU(mem)
-            cpu.step_fast()
+            BlockTranslator(mem).run(cpu, 2)
+            assert cpu.regs.read(Reg.R4) == 0x5EED5EED
         assert decode_cache_info().hits >= hits_before + 2
 
     def test_interpreter_step_decodes_through_the_lru(self):
@@ -417,5 +439,5 @@ class TestSharedDecodeCache:
         cpu = CPU(mem)
         for _ in range(2):
             with pytest.raises(InvalidInstruction):
-                cpu.step_fast()
+                cpu.step()
             cpu.pc = 0

@@ -1,4 +1,4 @@
-"""Differential harness: block-cache execution vs the seed paths.
+"""Differential harness: block-cache execution vs the interpreter.
 
 The translation cache's whole contract is *bit-identity*: with
 ``MachineConfig.translate`` on or off, a run must retire the same
@@ -9,7 +9,7 @@ and produce the same FAROS report.  This file asserts that end-to-end:
 * under a watchdog ``instruction_budget`` trip;
 * under a journaled :class:`FaultPlan` ``instret`` trigger;
 * and (slow-marked) across randomized guest programs, including
-  self-modifying ones, at the bare-CPU level against ``step_fast``.
+  self-modifying ones, at the bare-CPU level against ``cpu.step``.
 """
 
 import dataclasses
@@ -258,10 +258,10 @@ def _run_capped(cpu, stepper) -> tuple:
 class TestRandomizedDifferential:
     @given(insns=st.lists(_INSNS, min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_random_programs_match_step_fast(self, insns):
+    def test_random_programs_match_step(self, insns):
         code = b"".join(encode(i) for i in insns) + encode(Instruction(Op.HLT))
         ref = _fresh_cpu(code)
-        ref_end = _run_capped(ref, lambda c: c.step_fast())
+        ref_end = _run_capped(ref, lambda c: c.step())
 
         cpu = _fresh_cpu(code)
         translator = BlockTranslator(cpu.memory)

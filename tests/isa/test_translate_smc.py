@@ -101,7 +101,7 @@ class TestUnitInvalidation:
         )
         ref = make_cpu(source)
         while not ref.halted:
-            ref.step_fast()
+            ref.step()
         cpu, tr = make_translated(source)
         run_translated(cpu, tr)
         assert cpu.regs.read(Reg.R2) == 9 == ref.regs.read(Reg.R2)
