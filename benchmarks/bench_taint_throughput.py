@@ -89,11 +89,12 @@ def test_throughput_full_faros(benchmark):
 
 SEED = Tag(TagType.NETFLOW, 1)
 
-#: ~86% clean warm-up (taint-free: the gated tracker runs the machine's
-#: uninstrumented loop), then a copy loop that repeatedly moves a
-#: tainted word with clean compute in between (per-instruction all-clean
-#: exits + interned provenance on the copies).  ``pad`` pushes the data
-#: onto its own 4 KiB shadow page so the code's fetch pages stay clean.
+#: ~86% clean warm-up (taint-free: the tracker retires it all fast on
+#: the translated-tainted tier), then a copy loop that repeatedly moves
+#: a tainted word with clean compute in between (per-instruction
+#: all-clean exits + interned provenance on the copies).  ``pad``
+#: pushes the data onto its own 4 KiB shadow page so the code's fetch
+#: pages stay clean.
 MIXED_WORK = """
 start:
     movi r5, 30000

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.emulator.devices import DeviceBoard, NetworkInterface, Packet
@@ -424,10 +425,8 @@ class Machine:
         cpu.restore_context(thread.context)
         cpu.halted = False
         thread.state = ThreadState.RUNNING
-        # Pick the execution tier per slice (revisited after every
-        # syscall -- the only point inside a slice where new
-        # analysis-relevant state, like a tainted packet landing in a
-        # recv buffer, can appear and re-arm a gated plugin):
+        # One runner per slice, chosen by the plan the plugin manager
+        # fixed at registration (PluginManager.plan):
         #
         # * "none"  -- nothing instruments instructions: translated
         #   blocks;
@@ -436,108 +435,42 @@ class Machine:
         #   propagation closures (the translated-tainted tier);
         # * "full"  -- some plugin needs the real effect stream (the
         #   reference tracker): interpreter stepping with the
-        #   on_insn_exec fan-out.
+        #   on_insn_exec fan-out, which is also what every slice runs
+        #   with translation off.
         #
-        # With translation off, every slice steps the cpu.step
-        # interpreter: "taint" becomes "full", and "none" steps without
-        # the fan-out.
-        #
-        # Whichever tier runs, the budget passed down is the remaining
-        # quantum, so slice boundaries -- and with them event delivery,
-        # watchdog checks, and FaultPlan instret triggers -- land on the
-        # exact same retirement counts as instruction-at-a-time
-        # execution.
+        # Each runner retires at most the budget it is given and says
+        # why it stopped, so slice boundaries -- and with them event
+        # delivery, watchdog checks, and FaultPlan instret triggers --
+        # land on the same retirement counts whichever tier runs.
         plugins = self.plugins
-        on_insn_exec = plugins.on_insn_exec
-        on_insns_skipped = plugins.on_insns_skipped
-        mode, taint_unit = plugins.insn_effects_plan()
-        if mode == "taint" and self.translator is None:
-            mode = "full"  # no translation cache: interpreter-step
-        instrumented = mode == "full"
-        translator = self.translator if mode == "none" else None
-        taint_ctx = (
-            taint_unit.block_context(self, thread) if mode == "taint" else None
-        )
+        translator = self.translator
+        mode, unit = plugins.plan
+        if translator is None or mode == "full":
+            run = self._stepper(thread)
+        elif mode == "taint":
+            run = partial(translator.run_taint, ctx=unit.block_context(self, thread))
+        else:
+            run = translator.run
         executed = 0
-        skipped = 0  # uninstrumented retirements not yet reported
         sys_at = 0   # `executed` offset of this slice's latest syscall
         while executed < quantum:
-            if translator is not None:
-                before = cpu.instret
-                try:
-                    reason = translator.run(cpu, quantum - executed)
-                except GuestFault as fault:
-                    delta = cpu.instret - before
-                    executed += delta
-                    skipped += delta
-                    if skipped:
-                        on_insns_skipped(self, thread, skipped)
-                    self._ctr_faults.inc()
-                    plugins.on_guest_fault(self, thread, fault)
-                    self.kernel.crash_process(thread.process, fault)
-                    return
-                delta = cpu.instret - before
-                executed += delta
-                skipped += delta
-                if reason == "halt":
-                    if skipped:
-                        on_insns_skipped(self, thread, skipped)
-                    thread.context = cpu.context()
-                    self.kernel.terminate_process(thread.process, cpu.regs.read(Reg.R0))
-                    return
-                if reason != "syscall":
-                    continue
-            elif taint_ctx is not None:
-                # The translated-tainted tier: the tracker's counters
-                # are maintained inside block execution (no bulk
-                # on_insns_skipped here -- every retirement is already
-                # accounted with its exact fast/slow split).
-                before = cpu.instret
-                try:
-                    reason = self.translator.run_taint(
-                        cpu, quantum - executed, taint_ctx
-                    )
-                except GuestFault as fault:
-                    executed += cpu.instret - before
-                    self._ctr_faults.inc()
-                    plugins.on_guest_fault(self, thread, fault)
-                    self.kernel.crash_process(thread.process, fault)
-                    return
-                executed += cpu.instret - before
-                if reason == "halt":
-                    thread.context = cpu.context()
-                    self.kernel.terminate_process(thread.process, cpu.regs.read(Reg.R0))
-                    return
-                if reason != "syscall":
-                    continue
-            else:
-                try:
-                    fx = cpu.step()
-                except GuestFault as fault:
-                    if skipped:
-                        on_insns_skipped(self, thread, skipped)
-                    self._ctr_faults.inc()
-                    plugins.on_guest_fault(self, thread, fault)
-                    self.kernel.crash_process(thread.process, fault)
-                    return
-                executed += 1
-                if instrumented:
-                    on_insn_exec(self, thread, fx)
-                else:
-                    skipped += 1
-                if fx.halted:
-                    if skipped:
-                        on_insns_skipped(self, thread, skipped)
-                    thread.context = cpu.context()
-                    self.kernel.terminate_process(thread.process, cpu.regs.read(Reg.R0))
-                    return
-                if not fx.syscall:
-                    continue
+            before = cpu.instret
+            try:
+                reason = run(cpu, quantum - executed)
+            except GuestFault as fault:
+                self._ctr_faults.inc()
+                plugins.on_guest_fault(self, thread, fault)
+                self.kernel.crash_process(thread.process, fault)
+                return
+            executed += cpu.instret - before
+            if reason == "halt":
+                thread.context = cpu.context()
+                self.kernel.terminate_process(thread.process, cpu.regs.read(Reg.R0))
+                return
+            if reason != "syscall":
+                continue
 
-            # -- syscall trap (shared by both execution paths) -----------------
-            if skipped:
-                on_insns_skipped(self, thread, skipped)
-                skipped = 0
+            # -- syscall trap -----------------------------------------------
             number = cpu.regs.read(Reg.R0)
             args = tuple(cpu.regs.read(r) for r in (Reg.R1, Reg.R2, Reg.R3, Reg.R4, Reg.R5))
             thread.context = cpu.context()
@@ -559,16 +492,6 @@ class Machine:
             if thread.state is not ThreadState.RUNNING:
                 return  # suspended/killed by its own syscall
             cpu.restore_context(thread.context)
-            mode, taint_unit = plugins.insn_effects_plan()
-            if mode == "taint" and self.translator is None:
-                mode = "full"
-            instrumented = mode == "full"
-            translator = self.translator if mode == "none" else None
-            taint_ctx = (
-                taint_unit.block_context(self, thread) if mode == "taint" else None
-            )
-        if skipped:
-            on_insns_skipped(self, thread, skipped)
         thread.context = cpu.context()
         # Syscall-step watchdog, accounted per slice (never per
         # instruction) so the uninstrumented fast path stays fast.
@@ -581,6 +504,23 @@ class Machine:
                 f"{thread.steps_since_syscall} instructions without a syscall",
             )
         self.kernel.requeue(thread)
+
+    def _stepper(self, thread):
+        """The interpreter runner: ``cpu.step`` with the ``on_insn_exec``
+        fan-out, until *budget* retirements, a syscall or a halt."""
+        on_insn_exec = self.plugins.on_insn_exec
+
+        def step(cpu, budget: int) -> str:
+            for _ in range(budget):
+                fx = cpu.step()
+                on_insn_exec(self, thread, fx)
+                if fx.halted:
+                    return "halt"
+                if fx.syscall:
+                    return "syscall"
+            return "budget"
+
+        return step
 
 
 #: The result of one machine run.  ``RunStats`` predates the fault

@@ -55,26 +55,14 @@ class Plugin:
     ) -> None:
         """One instruction retired on *thread*; *fx* describes its effects."""
 
-    def wants_insn_effects(self) -> bool:
-        """Does this plugin *currently* need per-instruction effects?
-
-        The machine asks at every scheduler slice (and again after each
-        syscall, the only in-slice point where analysis-relevant state
-        can appear).  The default is static: True iff the class overrides
-        :meth:`on_insn_exec`.  Plugins whose need is state-dependent --
-        the taint tracker is dormant until the first tainted byte exists
-        -- override this to gate the emulator onto its uninstrumented
-        fast path while they have nothing to observe.
-        """
-        return type(self).on_insn_exec is not Plugin.on_insn_exec
-
     def block_taint_unit(self):
         """The taint engine this plugin's instrumentation reduces to, if any.
 
-        The machine asks whenever :meth:`wants_insn_effects` answered
-        True.  A plugin whose *entire* per-instruction need is Table I
-        taint propagation (the taint tracker itself, or FAROS wrapping
-        one) returns its :class:`~repro.taint.tracker.TaintTracker`;
+        Asked when the plugin manager plans the execution tier, of
+        every plugin that implements :meth:`on_insn_exec`.  A plugin
+        whose *entire* per-instruction need is Table I taint
+        propagation (the taint tracker itself, or FAROS wrapping one)
+        returns its :class:`~repro.taint.tracker.TaintTracker`;
         the block translator can then run the slice block-at-a-time
         through fused taint closures (the translated-tainted dispatch
         tier) instead of dropping to the per-instruction interpreter.
@@ -90,15 +78,6 @@ class Plugin:
         run executes the same tier as an unobserved one.
         """
         return None
-
-    def on_insns_skipped(self, machine: "Machine", thread: "Thread", count: int) -> None:
-        """*count* instructions retired on the uninstrumented fast path.
-
-        Delivered in bulk (per slice, or up to each syscall) when every
-        plugin's :meth:`wants_insn_effects` answered False, so counters
-        that account for all retirements stay accurate.  No effects are
-        available for these instructions by construction.
-        """
 
     def on_guest_fault(self, machine: "Machine", thread: "Thread", fault: Exception) -> None:
         """*thread* raised a guest fault (the kernel will kill the process)."""
@@ -241,6 +220,24 @@ class PluginManager:
     callable assigned on the instance both count, but instance
     assignment must happen *before* :meth:`register` (the lists are not
     rebuilt when a registered plugin mutates).
+
+    The same walk fixes :attr:`plan`, the ``(mode, unit)`` pair the
+    machine reads at every slice to pick its execution tier:
+
+    * ``("none", None)`` -- no plugin implements ``on_insn_exec``: run
+      the uninstrumented path (translated blocks);
+    * ``("taint", tracker)`` -- every implementer reduces to the *same*
+      taint engine (:meth:`Plugin.block_taint_unit`): run the
+      translated-tainted tier, with fused propagation closures standing
+      in for the effect stream;
+    * ``("full", None)`` -- some implementer needs the real
+      :class:`~repro.isa.cpu.InstructionEffects` stream (the reference
+      tracker, or two plugins that reduce to different taint engines):
+      step the interpreter and fan out ``on_insn_exec``.
+
+    In ``src/`` only the taint trackers implement ``on_insn_exec``
+    (FAROS forwards to its tracker), so FAROS runs, observed or not,
+    plan ``"taint"`` from their first instruction.
     """
 
     def __init__(self) -> None:
@@ -253,8 +250,10 @@ class PluginManager:
         return tuple(self._plugins)
 
     def _rebuild(self) -> None:
-        """Recompute every hook's dispatch list and its fan attribute."""
+        """Recompute every hook's dispatch list, its fan attribute and
+        the execution :attr:`plan`."""
         handlers: Dict[str, List[Callable]] = {name: [] for name in HOOK_NAMES}
+        units = []  # block_taint_unit() of each on_insn_exec implementer
         for plugin in self._plugins:
             for name in HOOK_NAMES:
                 # A bound method's __func__ is its class function; a
@@ -264,9 +263,17 @@ class PluginManager:
                 hook = getattr(plugin, name)
                 if getattr(hook, "__func__", hook) is not getattr(Plugin, name):
                     handlers[name].append(hook)
+                    if name == "on_insn_exec":
+                        units.append(plugin.block_taint_unit())
         self._handlers = handlers
         for name, hooked in handlers.items():
             setattr(self, name, _fan(hooked))
+        if not units:
+            self.plan = ("none", None)
+        elif units[0] is not None and all(u is units[0] for u in units):
+            self.plan = ("taint", units[0])
+        else:
+            self.plan = ("full", None)
 
     def register(self, plugin: Plugin) -> Plugin:
         """Attach *plugin* and precompute its hook dispatch; returns it
@@ -276,6 +283,7 @@ class PluginManager:
         return plugin
 
     def register_all(self, plugins: Iterable[Plugin]) -> None:
+        """Attach *plugins* in order with a single rebuild."""
         self._plugins.extend(plugins)
         self._rebuild()
 
@@ -286,56 +294,3 @@ class PluginManager:
     def handlers(self, hook: str) -> Tuple[Callable, ...]:
         """The precomputed dispatch list for *hook* (introspection)."""
         return tuple(self._handlers[hook])
-
-    def needs_insn_effects(self) -> bool:
-        """True if any plugin currently wants per-instruction effects.
-
-        When nothing instruments instructions the machine runs the
-        CPU's uninstrumented fast path -- the analog of QEMU executing
-        translated blocks without PANDA callbacks compiled in.  Each
-        plugin answers via :meth:`Plugin.wants_insn_effects`, which may
-        be state-dependent (the taint tracker declines while the system
-        holds no taint).
-        """
-        return any(plugin.wants_insn_effects() for plugin in self._plugins)
-
-    def insn_effects_plan(self) -> Tuple[str, object]:
-        """How the machine should execute the next slice.
-
-        Returns one of three ``(mode, unit)`` pairs:
-
-        * ``("none", None)`` -- no plugin wants per-instruction effects:
-          run the uninstrumented path (translated blocks);
-        * ``("taint", tracker)`` -- every effects-wanting plugin reduces
-          to the *same* taint engine (:meth:`Plugin.block_taint_unit`):
-          run the translated-tainted tier, with fused propagation
-          closures standing in for the effect stream;
-        * ``("full", None)`` -- at least one plugin needs the real
-          :class:`~repro.isa.cpu.InstructionEffects` stream (the
-          reference tracker, or two plugins that want different taint
-          engines): step the interpreter and fan out ``on_insn_exec``.
-          In ``src/`` only the taint trackers implement that hook (FAROS
-          forwards to its tracker), so FAROS runs, observed or not,
-          plan ``"taint"`` once taint exists.
-
-        The taint tier must be exactly equivalent to interpreter
-        dispatch, and the interpreter fans ``on_insn_exec`` to every
-        plugin that *implements* the hook -- wanting or not (a dormant
-        second tracker still counts retirements when a co-attached
-        armed one forces instrumentation).  So the reduction test runs
-        over implementers, not just wanters.
-        """
-        if not self.needs_insn_effects():
-            return ("none", None)
-        unit = None
-        for plugin in self._plugins:
-            hook = plugin.on_insn_exec
-            if getattr(hook, "__func__", hook) is Plugin.on_insn_exec:
-                continue
-            plugin_unit = plugin.block_taint_unit()
-            if plugin_unit is None or (unit is not None and plugin_unit is not unit):
-                return ("full", None)
-            unit = plugin_unit
-        if unit is None:
-            return ("full", None)
-        return ("taint", unit)

@@ -92,8 +92,7 @@ class Scenario:
         machine = Machine(self.config)
         if metrics is not None:
             machine.use_metrics(metrics)
-        for plugin in plugins:
-            machine.plugins.register(plugin)
+        machine.plugins.register_all(plugins)
         self.setup(machine)
         for at, event in self.events:
             machine.schedule(at, event)

@@ -159,8 +159,7 @@ class BootJournalRecorder(Plugin):
         self.events: List[tuple] = []
 
     # Per-instruction hooks cannot fire during setup (nothing executes),
-    # so the recorder deliberately leaves on_insn_exec unimplemented --
-    # which also keeps wants_insn_effects() False.
+    # so the recorder deliberately leaves on_insn_exec unimplemented.
 
     def on_phys_write(self, machine, paddrs, source) -> None:
         self.events.append(("on_phys_write", tuple(paddrs), source))
@@ -474,8 +473,7 @@ class MachineSnapshot:
         observe boot), then the boot-event replay standing in for setup,
         then the scenario's scheduled events.
         """
-        for plugin in plugins:
-            machine.plugins.register(plugin)
+        machine.plugins.register_all(plugins)
         if self._boot_cache is None or self._boot_cache[0] is not self.boot_blob:
             self._boot_cache = (self.boot_blob, _thaw(self.boot_blob, machine))
         replay_boot_events(machine, self._boot_cache[1])

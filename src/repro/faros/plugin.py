@@ -133,19 +133,13 @@ class Faros(Plugin):
     def on_insn_exec(self, machine, thread, fx) -> None:
         self.tracker.on_insn_exec(machine, thread, fx)
 
-    def wants_insn_effects(self) -> bool:
-        return self.tracker.wants_insn_effects()
-
     def block_taint_unit(self):
         """FAROS' per-instruction need is exactly its tracker's Table I
         propagation (detection rides on the tracker's load listeners),
         so the translated-tainted tier may stand in for the interpreter
         whenever the tracker supports it.  Reference trackers inherit
         the base ``None`` and keep forcing the full effect stream."""
-        return getattr(self.tracker, "block_taint_unit", lambda: None)()
-
-    def on_insns_skipped(self, machine, thread, count) -> None:
-        self.tracker.on_insns_skipped(machine, thread, count)
+        return self.tracker.block_taint_unit()
 
     def on_phys_copy(self, machine, dst_paddrs, src_paddrs, actor=None) -> None:
         self.tracker.on_phys_copy(machine, dst_paddrs, src_paddrs, actor)

@@ -17,11 +17,12 @@ Deliberate differences from :mod:`repro.taint.tracker`:
   :mod:`repro.taint.provenance` functions and may allocate;
 * the shadow map is one flat ``paddr -> provenance`` dict, probed per
   byte, with no page organisation and no all-clean exits;
-* no instrumentation gating: :meth:`ReferenceTaintTracker.
-  wants_insn_effects` always answers True, so a machine carrying the
-  reference instruments every retired instruction.  Attaching the
-  reference alongside the fast tracker therefore guarantees both see the
-  identical instruction stream.
+* no taint tier: the reference keeps the base
+  :meth:`~repro.emulator.plugins.Plugin.block_taint_unit` (``None``), so
+  a machine carrying it steps the interpreter and hands it every
+  retired instruction's effects.  Attaching the reference alongside the fast
+  tracker therefore guarantees both see the identical instruction
+  stream.
 
 Keep this module boring.  When propagation semantics change, change the
 reference *first*, watch the differential fail, then port the change to
@@ -100,7 +101,7 @@ class ReferenceTaintTracker(Plugin):
     Semantically equivalent to :class:`~repro.taint.tracker.TaintTracker`
     by definition (the differential harness enforces it); structurally it
     is the pre-optimisation code: per-byte dict probes, fresh tuples, no
-    gating.
+    fast exits.
     """
 
     def __init__(
@@ -175,12 +176,6 @@ class ReferenceTaintTracker(Plugin):
     # ------------------------------------------------------------------
     # the per-instruction path: always the full propagation
     # ------------------------------------------------------------------
-
-    def wants_insn_effects(self) -> bool:
-        # The reference never gates: it is the always-slow spec, and
-        # forcing instrumentation keeps co-attached differential runs on
-        # the identical instruction stream.
-        return True
 
     def on_insn_exec(self, machine, thread, fx: InstructionEffects) -> None:
         self.stats.instructions += 1

@@ -19,15 +19,16 @@ verdict, so the fast path skips it (see below).
 
 Fast path (the paper's §V-A overhead attack, reproduced):
 
-* **machine-level gating** -- while the system holds no taint at all
-  (before the first netflow byte arrives), :meth:`wants_insn_effects`
-  answers False and the machine runs its uninstrumented CPU loop,
-  reporting retirements in bulk via :meth:`on_insns_skipped`;
-* **per-instruction all-clean exit** -- once taint exists somewhere,
-  each retired instruction first checks that its thread's register bank
-  is clean and that none of its fetch/read/write bytes land on a dirty
-  shadow page (one probe per 4 KiB page).  If so, propagation is the
-  identity and the instruction retires on the fast path;
+* **translated-tainted tier** -- a machine whose only per-instruction
+  consumer is this tracker (alone, or inside FAROS) runs it
+  block-at-a-time through fused propagation closures
+  (:class:`BlockTaintContext`) from its first instruction;
+* **per-instruction all-clean exit** -- each retired instruction first
+  checks that its thread's register bank is clean and that none of its
+  fetch/read/write bytes land on a dirty shadow page (its fetch bytes
+  byte-precisely, its data one probe per 4 KiB page).  If so,
+  propagation is the identity and the instruction retires on the fast
+  path;
 * **interned provenance** -- the slow path computes unions/appends
   through a :class:`~repro.taint.intern.ProvInterner`, so repeated
   propagation of the same lists costs dict probes, not allocations;
@@ -87,9 +88,8 @@ class TrackerStats:
 
     ``instructions`` counts every retirement the tracker accounted for;
     ``slow_retirements`` of them ran the full propagation path and
-    ``fast_retirements`` took an all-clean exit (per-instruction page
-    check, or whole uninstrumented slices while the system held no
-    taint).  ``instructions == slow_retirements + fast_retirements``.
+    ``fast_retirements`` took an all-clean exit.
+    ``instructions == slow_retirements + fast_retirements``.
     """
 
     instructions: int = 0
@@ -309,32 +309,6 @@ class TaintTracker(Plugin):
             self._pending_control.pop(thread.tid, None)
 
     # ------------------------------------------------------------------
-    # instrumentation gating (machine-level fast path)
-    # ------------------------------------------------------------------
-
-    def wants_insn_effects(self) -> bool:
-        """Per-instruction effects are only needed once taint exists.
-
-        Mirrors the paper's optimisation of enabling heavy tracking only
-        when the first netflow byte arrives: with no taint anywhere --
-        shadow memory, register banks, pending control windows --
-        propagation of every instruction is the identity, so the machine
-        may run its uninstrumented loop.  The machine re-asks after
-        every syscall, which is the only in-slice path through which
-        taint can appear (packet delivery, file reads, remote writes).
-        """
-        return (
-            self.shadow.tainted_bytes > 0
-            or bool(self._pending_control)
-            or self.banks.any_tainted()
-        )
-
-    def on_insns_skipped(self, machine, thread, count: int) -> None:
-        """*count* instructions retired while gating had us dormant."""
-        self.stats.instructions += count
-        self.stats.fast_retirements += count
-
-    # ------------------------------------------------------------------
     # the translated-tainted tier (fused block closures)
     # ------------------------------------------------------------------
 
@@ -348,7 +322,7 @@ class TaintTracker(Plugin):
         """The per-slice context the fused taint closures execute against.
 
         One reusable object per tracker, rebound to the scheduled thread
-        at every slice (and after every syscall); see
+        at every slice; see
         :class:`BlockTaintContext` for the exactness contract.
         """
         ctx = self._block_ctx

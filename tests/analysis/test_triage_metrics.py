@@ -66,9 +66,12 @@ class TestMetricsThroughWorkers:
         assert result.report["metrics"] == result.metrics
 
     def test_worker_numbers_match_in_process_numbers(self):
+        # The worker leg runs first: the pool forks from this process,
+        # so both legs start from the same GLOBAL_INTERNER state (the
+        # in-process leg would otherwise warm it for the worker).
         jobs = attack_jobs(["code_injection"], metrics=True)
-        [in_process] = run_triage(jobs, jobs=1)
         [via_worker] = run_triage(jobs, jobs=2)
+        [in_process] = run_triage(jobs, jobs=1)
         for name in _DETERMINISTIC_GAUGES:
             assert in_process.metrics["gauges"][name] == \
                 via_worker.metrics["gauges"][name], name

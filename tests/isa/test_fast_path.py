@@ -155,16 +155,15 @@ class TestMachineFastPathSelection:
 
         machine = Machine(MachineConfig())
         machine.plugins.register(Passive())
-        assert machine.plugins.needs_insn_effects() is False
+        assert machine.plugins.plan == ("none", None)
 
-    def test_faros_gates_instrumentation_on_taint(self):
+    def test_faros_plans_the_taint_tier_before_any_taint(self):
+        # The plan is fixed at registration, not re-polled as taint
+        # comes and goes: FAROS is on the taint tier while the system
+        # still holds no taint at all.
         from repro.faros import Faros
-        from repro.taint.tags import Tag, TagType
 
         machine = Machine(MachineConfig())
         faros = machine.plugins.register(Faros())
-        # Dormant while the system holds no taint: the machine may run
-        # its uninstrumented loop (the netflow-arrival optimisation).
-        assert machine.plugins.needs_insn_effects() is False
-        faros.tracker.taint_range((0x100,), Tag(TagType.NETFLOW, 0))
-        assert machine.plugins.needs_insn_effects() is True
+        assert faros.tracker.shadow.tainted_bytes == 0
+        assert machine.plugins.plan == ("taint", faros.tracker)

@@ -3,11 +3,12 @@
 ``test_translate.py`` pins the uninstrumented cache; this file pins the
 taint tier's local contracts on whole machines carrying a lone
 :class:`~repro.taint.tracker.TaintTracker` (the configuration whose
-``insn_effects_plan`` reduces to the fused per-block closures):
+plan reduces to the fused per-block closures):
 
-* armed-but-clean code keeps executing translated blocks and retires
-  everything fast: pure blocks replay a record with no slow
-  retirements, and every other block passes its per-closure gates;
+* clean code, with or without taint elsewhere, keeps executing
+  translated blocks and retires everything fast: pure blocks replay a
+  record with no slow retirements, and every other block passes its
+  per-closure gates;
 * each instruction's memoised fetch step decides its fetch cleanliness,
   byte-precisely: code whose shadow page is dirty but whose own
   *instruction bytes* are clean stays on the fast path (taint planted
@@ -207,14 +208,20 @@ farpad2: .space 8192
 
 
 class TestArmedButCleanStaysTranslated:
-    def test_dormant_tracker_runs_uninstrumented(self):
-        """No taint anywhere: the tracker does not even want effects,
-        so slices run the plain translated tier, not the taint tier."""
-        machine, tracker, _ = run_one(TAINTED_LOOP)
+    def test_untainted_run_retires_fast_on_the_taint_tier(self):
+        """No taint anywhere: the taint tier runs every slice and
+        retires everything fast, touching neither the interner nor the
+        tag store, with the interpreter's counters."""
+        on, off = run_pair(TAINTED_LOOP)
+        machine, tracker, _ = on
         ts = taint_stats(machine)
-        assert ts["taint_lookups"] == 0
-        assert machine.translator.executions > 0
+        assert ts["taint_executions"] > 0
+        assert machine.translator.executions == 0
         assert tracker.stats.slow_retirements == 0
+        assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
+        assert tracker.shadow.tainted_bytes == 0
+        assert (tracker.interner.hits, tracker.interner.misses) == (0, 0)
+        assert tracker.tags.sizes()["process"] == 0
 
     def test_armed_but_clean_thread_retires_fast(self):
         """Taint exists (tracker armed) but this thread never touches

@@ -9,7 +9,6 @@ from repro.emulator.record_replay import record, replay
 from repro.faros import Faros
 from repro.obs.profiler import HotBlockProfiler
 from repro.obs.session import ObsSession
-from repro.taint.tags import Tag, TagType
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +64,12 @@ class TestSessionWiring:
 
     def test_profiler_leaves_faros_on_the_taint_tier(self):
         # The profiler implements no per-instruction hook, so with it
-        # registered after FAROS the plan is still the taint tier once
-        # taint exists -- never the interpreter's "full" fan-out.
+        # registered after FAROS the plan is still the taint tier --
+        # never the interpreter's "full" fan-out.
         machine = Machine(MachineConfig())
         faros = machine.plugins.register(Faros())
-        profiler = machine.plugins.register(HotBlockProfiler())
-        assert profiler.wants_insn_effects() is False
-        assert machine.plugins.insn_effects_plan() == ("none", None)
-        faros.tracker.taint_range((0x100,), Tag(TagType.NETFLOW, 0))
-        assert machine.plugins.insn_effects_plan() == ("taint", faros.tracker)
+        machine.plugins.register(HotBlockProfiler())
+        assert machine.plugins.plan == ("taint", faros.tracker)
 
 
 class TestPassiveMode:

@@ -1,7 +1,7 @@
 """The differential test harness: reference semantics vs the fast path.
 
 The fast path (interned provenance, page-organised shadow memory,
-instrumentation gating -- :mod:`repro.taint.tracker`) must be *bit
+all-clean exits -- :mod:`repro.taint.tracker`) must be *bit
 identical* to the kept pre-optimisation implementation
 (:mod:`repro.taint.reference`).  This harness enforces that along every
 channel taint can move through:
@@ -9,8 +9,8 @@ channel taint can move through:
 * **shadow operations** -- random set/clear/range/scatter sequences
   against both shadow stores, comparing flat snapshots and probes;
 * **instruction streams** -- hypothesis-generated guest programs run on
-  ONE machine carrying both trackers (the reference always demands
-  instrumentation, so both observe the identical stream), comparing
+  ONE machine carrying both trackers (the reference needs the effect
+  stream, so both observe the identical stream), comparing
   shadow memory, register banks, and tainted-load observations;
 * **kernel copies and external writes** -- random ``phys_copy`` /
   ``phys_write`` / ``taint_range`` sequences, with and without an acting
@@ -200,10 +200,10 @@ SEED_B = Tag(TagType.FILE, 3)
 def attach_pair(machine, policy):
     """One fast and one reference tracker on the same machine.
 
-    The reference's ``wants_insn_effects`` is always True, so the
-    machine instruments every instruction and both trackers see the
-    identical stream; the fast tracker still exercises its own
-    per-instruction all-clean exit.
+    The reference has no taint unit, so the machine steps the
+    interpreter and both trackers see the identical effect stream; the
+    fast tracker still exercises its own per-instruction all-clean
+    exit.
     """
     tags = TagStore()
     fast = TaintTracker(policy=policy, tags=tags, interner=ProvInterner())

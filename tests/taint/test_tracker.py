@@ -655,9 +655,8 @@ class TestStats:
         assert tracker.stats.external_writes >= 1  # image load
 
     def test_untainted_run_is_all_fast_path(self):
-        # With no taint anywhere the tracker withdraws from
-        # per-instruction effects entirely: every retirement is bulk-
-        # counted as fast, and the slow path never runs.
+        # With no taint anywhere every retirement takes the all-clean
+        # exit: counted as fast, and the slow path never runs.
         machine, tracker, proc, prog = launch(
             "start:\n    movi r3, 0\nspin:\n    addi r3, r3, 1\n    cmpi r3, 500\n    jnz spin\n    jmp park"
         )
@@ -685,11 +684,11 @@ class TestStats:
             dst: .word 0
             """
         )
-        # Phase 1: nothing tainted -- the spin loop retires uninstrumented.
+        # Phase 1: nothing tainted -- the spin loop retires fast.
         machine.run(1_000)
         assert tracker.stats.fast_retirements > 0
-        # Phase 2: taint arrives; subsequent slices are instrumented and
-        # the copy through src goes down the slow path.
+        # Phase 2: taint arrives, and the copy through src goes down the
+        # slow path.
         seed(tracker, proc, prog, "src", 4)
         machine.run(300_000)
         stats = tracker.stats
@@ -698,9 +697,11 @@ class TestStats:
         assert tracker.prov_of_range(paddrs_of(proc, prog, "dst", 4)) == (SEED,)
 
     def test_taint_arrival_mid_run_rearms_instrumentation(self):
-        # The machine picks fast/instrumented stepping per slice and
-        # re-evaluates after syscalls; taint landing via an external
-        # event mid-run must not be missed by a stale fast-path choice.
+        # Taint arriving mid-run -- a packet tainted on delivery, then
+        # copied into the guest's buffer by a recv syscall -- must reach
+        # the instructions that read it: the tracker runs on every
+        # instruction from the first, and its fast exits hold only
+        # while the bytes and the bank are clean.
         machine = Machine(MachineConfig())
         tracker = TaintTracker(policy=TaintPolicy(process_tags_on_access=False))
         machine.plugins.register(tracker)
