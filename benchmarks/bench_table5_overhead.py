@@ -13,7 +13,7 @@ from repro.analysis.tables import render_table5
 
 
 def test_table5_faros_overhead(benchmark, emit):
-    rows = benchmark.pedantic(lambda: overhead_experiment(repeat=3), rounds=1, iterations=1)
+    rows = benchmark.pedantic(overhead_experiment, rounds=1, iterations=1)
 
     assert len(rows) == 6
     for row in rows:

@@ -274,37 +274,49 @@ class OverheadRow:
         return self.faros_seconds / self.replay_seconds if self.replay_seconds else 0.0
 
 
-def overhead_experiment(repeat: int = 3) -> List[OverheadRow]:
+#: Least number of rounds :func:`overhead_experiment` times each
+#: application over, whatever *repeat* asks for.
+MIN_ROUNDS = 5
+
+
+def overhead_experiment(repeat: int = MIN_ROUNDS) -> List[OverheadRow]:
     """E9: replay cost with and without the FAROS plugin.
 
     Machine construction happens outside the timed window -- the
     measured quantity is replay *execution*, matching how the paper
-    times PANDA replays.  Each of *repeat* rounds replays plain, then
-    under FAROS, and each side keeps its best round, timed in process
-    CPU time: a round is not charged for time another process held the
-    CPU, and a busy spell hits both sides of a round alike.  Absolute
-    numbers depend on the host; the paper-shape claims are (a) FAROS is
-    a multi-x slowdown on every workload and (b) overhead grows with
-    behavioural complexity.
+    times PANDA replays.  Each of *repeat* rounds (at least
+    :data:`MIN_ROUNDS`) replays plain, then under FAROS, timed in
+    process CPU time, so a round is not charged for time another
+    process held the CPU.  The row is the round with the median
+    FAROS/plain ratio: on a shared host a core's speed can shift by
+    about the ratio itself, for a spell of several rounds (a busy
+    sibling core) or for one window (a collector pass).  The two
+    replays of a round mostly share a spell; each side's best round
+    need not, as one side may never leave a slow spell.
+    Absolute numbers depend on the host; the paper-shape claims are (a)
+    FAROS is a multi-x slowdown on every workload and (b) overhead grows
+    with behavioural complexity.
     """
     rows = []
     for app, behaviors in OVERHEAD_APPS:
         scenario = build_sample_scenario(
             app, behaviors, variant=0, max_instructions=2_000_000
         )
-        plain_time = faros_time = float("inf")
+        rounds = []
         instructions = 0
-        for _ in range(max(repeat, 1)):
+        for _ in range(max(repeat, MIN_ROUNDS)):
             machine = scenario.build(())
             start = time.process_time()
             machine.run(scenario.max_instructions)
-            plain_time = min(plain_time, time.process_time() - start)
+            plain_time = time.process_time() - start
             faros = Faros()
             machine = scenario.build((faros,))
             start = time.process_time()
             machine.run(scenario.max_instructions)
-            faros_time = min(faros_time, time.process_time() - start)
+            rounds.append((plain_time, time.process_time() - start))
             instructions = faros.tracker.stats.instructions
+        rounds.sort(key=lambda r: r[1] / r[0])
+        plain_time, faros_time = rounds[(len(rounds) - 1) // 2]
         rows.append(
             OverheadRow(
                 application=app,

@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     table4.add_argument("--full", action="store_true", help="run all 104 samples")
     _add_triage_flags(table4)
     table5 = sub.add_parser("table5", help="FAROS overhead measurement")
-    table5.add_argument("--repeat", type=int, default=3, help="timing repetitions")
+    table5.add_argument("--repeat", type=int, default=5, help="timing rounds per application (5 at least)")
     _add_json_flag(table5)
     compare = sub.add_parser("compare", help="FAROS vs Cuckoo vs Cuckoo+malfind")
     _add_triage_flags(compare)
@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(serve)
     everything = sub.add_parser("all", help="regenerate every artifact")
     everything.add_argument("--full", action="store_true", help="full corpus")
-    everything.add_argument("--repeat", type=int, default=3)
+    everything.add_argument("--repeat", type=int, default=5)
     _add_triage_flags(everything)
     return parser
 
