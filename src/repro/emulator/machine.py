@@ -38,6 +38,11 @@ from repro.isa.memory import FrameAllocator, PhysicalMemory, contiguous_runs
 from repro.isa.registers import Reg
 from repro.isa.translate import BlockTranslator
 
+#: The syscall ABI's registers as plain ints: the number in R0, the
+#: arguments in R1-R5 (``Reg`` attribute loads cost ~100 ns each).
+_R0 = int(Reg.R0)
+_ARGS = slice(int(Reg.R1), int(Reg.R5) + 1)
+
 
 @dataclass
 class MachineConfig:
@@ -471,9 +476,10 @@ class Machine:
                 continue
 
             # -- syscall trap -----------------------------------------------
-            number = cpu.regs.read(Reg.R0)
-            args = tuple(cpu.regs.read(r) for r in (Reg.R1, Reg.R2, Reg.R3, Reg.R4, Reg.R5))
             thread.context = cpu.context()
+            regs = thread.context["regs"]
+            number = regs[_R0]
+            args = tuple(regs[_ARGS])
             self._ctr_syscalls.inc()
             self.last_syscall = number
             sys_at = executed
@@ -487,7 +493,7 @@ class Machine:
                 result = self._apply_syscall_override(override)
             if result is None:
                 return  # blocked or terminated; kernel owns the thread now
-            thread.context["regs"][Reg.R0] = result & 0xFFFFFFFF
+            regs[_R0] = result & 0xFFFFFFFF
             plugins.on_syscall_return(self, thread, number, result)
             if thread.state is not ThreadState.RUNNING:
                 return  # suspended/killed by its own syscall

@@ -36,8 +36,9 @@ from repro.taint.shadow import (
     SUMMARY_NETFLOW,
     SUMMARY_PROCESS,
     prov_class_mask,
+    prov_process_count,
 )
-from repro.taint.tags import Tag, TagStore, TagType
+from repro.taint.tags import Tag, TagStore
 from repro.taint.tracker import LoadObservation
 
 Prov = Tuple[Tag, ...]
@@ -113,9 +114,9 @@ class Detector:
         The rule gates run on interned-provenance *class masks*
         (:func:`~repro.taint.shadow.prov_class_mask` memoises per
         provenance value), so the common armed-but-innocent load costs
-        two bit tests.  Only R2 -- which needs *distinct* process tags,
-        not just the class bit -- still walks the provenance list, and
-        only after the process-class gate passed.
+        two bit tests.  R2, which needs *distinct* process tags and not
+        just the class bit, reads a count memoised per provenance value
+        beside the class masks (:func:`~repro.taint.shadow.prov_process_count`).
         """
         insn_prov = obs.insn_prov
         if not insn_prov:
@@ -127,9 +128,7 @@ class Detector:
         rule = None
         if self.config.netflow_rule and mask & SUMMARY_NETFLOW:
             rule = "netflow+export-table"
-        elif self.config.cross_process_rule and (
-            len({t for t in insn_prov if t.type is TagType.PROCESS}) >= 2
-        ):
+        elif self.config.cross_process_rule and prov_process_count(insn_prov) >= 2:
             rule = "cross-process+export-table"
         if rule is None:
             return
@@ -158,14 +157,14 @@ class Detector:
             if not read_prov or not prov_class_mask(read_prov) & SUMMARY_EXPORT:
                 continue
             thread = obs.thread
-            key = (obs.fx.pc, thread.process.cr3, access.vaddr >> 8)
+            key = (obs.pc, thread.process.cr3, access.vaddr >> 8)
             if key in self._seen:
                 continue
             self._seen.add(key)
             flagged = FlaggedInstruction(
                 tick=machine.now,
-                pc=obs.fx.pc,
-                insn_text=format_instruction(obs.fx.insn),
+                pc=obs.pc,
+                insn_text=format_instruction(obs.insn),
                 executing_pid=thread.process.pid,
                 executing_process=thread.process.name,
                 read_vaddr=access.vaddr,

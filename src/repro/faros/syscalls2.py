@@ -110,6 +110,3 @@ class Syscalls2Plugin(Plugin):
 
     def for_process(self, name: str) -> List[SyscallEvent]:
         return [e for e in self.events if e.process.lower() == name.lower()]
-
-    def calls_named(self, api_name: str) -> List[SyscallEvent]:
-        return [e for e in self.events if e.name == api_name]

@@ -276,9 +276,6 @@ class Kernel:
         ]
         return min(ticks) if ticks else None
 
-    def has_runnable(self) -> bool:
-        return any(t.state is ThreadState.READY for t in self._ready)
-
     def _block(self, thread: Thread, reason: WaitReason, data, num: int, args: tuple) -> None:
         thread.state = ThreadState.BLOCKED
         thread.wait = Wait(reason, data, num, args)
@@ -352,8 +349,9 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def syscall(self, thread: Thread, number: int, args: tuple) -> Optional[int]:
-        """Run one syscall.  Returns the result, or ``None`` if the
-        thread blocked (or died) and must not be resumed by the caller."""
+        """Run one syscall; *args* holds the five argument registers
+        R1-R5.  Returns the result, or ``None`` if the thread blocked
+        (or died) and must not be resumed by the caller."""
         try:
             result = self._dispatch(thread, number, args, retrying=False)
         except GuestFault:
@@ -367,363 +365,447 @@ class Kernel:
     def _dispatch(
         self, thread: Thread, number: int, args: tuple, retrying: bool
     ) -> Optional[int]:
+        """Run syscall *number* with *args*, the five argument registers
+        R1-R5, through the syscall table."""
+        handler = _SYSCALL_TABLE.get(number)
+        if handler is None:
+            return ERR  # unknown syscall number
+        return handler(self, thread, number, args, retrying)
+
+    # ------------------------------------------------------------------
+    # syscall handlers: (thread, number, five args, retrying) -> result,
+    # or None when the thread blocked or died
+    # ------------------------------------------------------------------
+
+    # ---- process self-management ---------------------------------
+    def _sys_exit(self, thread, number, args, retrying):
+        self.terminate_process(thread.process, args[0])
+        return None
+
+    def _sys_write_console(self, thread, number, args, retrying):
+        proc = thread.process
+        data, _ = self._read_user(proc, args[0], min(args[1], 4096))
+        text = data.decode("latin-1")
+        proc.console.append(text)
+        self.console_log.append((proc.pid, text))
+        return len(data)
+
+    def _sys_sleep(self, thread, number, args, retrying):
+        self._block(thread, WaitReason.SLEEP, self.machine.now + max(args[0], 1), number, args)
+        return None
+
+    def _sys_get_time(self, thread, number, args, retrying):
+        return self.machine.now & 0x7FFFFFFF
+
+    # ---- own virtual memory --------------------------------------
+    def _sys_alloc(self, thread, number, args, retrying):
+        return self._alloc_in(thread.process.aspace, size=args[0], perms=args[1], addr_hint=0)
+
+    def _sys_free(self, thread, number, args, retrying):
+        try:
+            thread.process.aspace.unmap_region(args[0])
+            return 0
+        except GuestFault:
+            return ERR
+
+    def _sys_protect(self, thread, number, args, retrying):
+        a1, a2, a3 = args[:3]
+        thread.process.aspace.protect_region(a1, a2, a3 or PERM_RW)
+        return 0
+
+    # ---- filesystem ----------------------------------------------
+    def _sys_create_file(self, thread, number, args, retrying):
+        proc = thread.process
+        path = self._read_user_string(proc, args[0])
+        node = self.fs.create(path)
+        return proc.add_handle("file", FileHandle(node))
+
+    def _sys_open_file(self, thread, number, args, retrying):
+        proc = thread.process
+        path = self._read_user_string(proc, args[0])
+        if not self.fs.exists(path):
+            return ERR
+        return proc.add_handle("file", FileHandle(self.fs.open(path)))
+
+    def _sys_read_file(self, thread, number, args, retrying):
         proc = thread.process
         machine = self.machine
-        a1, a2, a3, a4, a5 = (tuple(args) + (0, 0, 0, 0, 0))[:5]
+        a1, a2, a3 = args[:3]
+        fh = proc.get_handle(a1, "file")
+        if fh is None:
+            return ERR
+        n = min(a3, len(fh.node.data) - fh.offset)
+        if n <= 0:
+            return 0
+        version = fh.node.touch()
+        self.fs.audit_log.append(("read", fh.node.path))
+        data = bytes(fh.node.data[fh.offset : fh.offset + n])
+        paddrs = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
+        machine.phys_write(paddrs, data, source=f"file:{fh.node.path}")
+        machine.plugins.on_file_read(
+            machine, proc, fh.node.path, version, paddrs
+        )
+        fh.offset += n
+        return n
 
-        # ---- process self-management ---------------------------------
-        if number == Sys.EXIT:
-            self.terminate_process(proc, a1)
+    def _sys_write_file(self, thread, number, args, retrying):
+        proc = thread.process
+        machine = self.machine
+        a1, a2, a3 = args[:3]
+        fh = proc.get_handle(a1, "file")
+        if fh is None:
+            return ERR
+        data, src_paddrs = self._read_user(proc, a2, a3)
+        version = fh.node.touch()
+        self.fs.audit_log.append(("write", fh.node.path))
+        end = fh.offset + len(data)
+        if len(fh.node.data) < end:
+            fh.node.data.extend(b"\x00" * (end - len(fh.node.data)))
+        fh.node.data[fh.offset : end] = data
+        machine.plugins.on_file_write(
+            machine, proc, fh.node.path, version, src_paddrs
+        )
+        fh.offset = end
+        return len(data)
+
+    def _sys_close(self, thread, number, args, retrying):
+        entry = thread.process.close_handle(args[0])
+        if entry is None:
+            return ERR
+        if entry.kind == "socket":
+            self.netstack.close(self.netstack.get(entry.obj))
+        return 0
+
+    def _sys_delete_file(self, thread, number, args, retrying):
+        path = self._read_user_string(thread.process, args[0])
+        if not self.fs.exists(path):
+            return ERR
+        self.fs.delete(path)
+        return 0
+
+    # ---- network ---------------------------------------------------
+    def _sys_socket(self, thread, number, args, retrying):
+        proc = thread.process
+        sock = self.netstack.create(proc.pid)
+        return proc.add_handle("socket", sock.sock_id)
+
+    def _sys_connect(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3 = args[:3]
+        sock = self._socket_for(proc, a1)
+        if sock is None:
+            return ERR
+        ip = self._read_user_string(proc, a2)
+        self.netstack.connect(sock, ip, a3)
+        self.machine.send_packet(
+            Packet(self.netstack.local_ip, sock.local_port, ip, a3, b"")
+        )
+        return 0
+
+    def _sys_send(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3 = args[:3]
+        sock = self._socket_for(proc, a1)
+        if sock is None or not sock.connected:
+            return ERR
+        data, _ = self._read_user(proc, a2, a3)
+        self.machine.send_packet(
+            Packet(
+                self.netstack.local_ip,
+                sock.local_port,
+                sock.remote_ip,
+                sock.remote_port,
+                data,
+            )
+        )
+        return len(data)
+
+    def _sys_recv(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3 = args[:3]
+        sock = self._socket_for(proc, a1)
+        if sock is None or not sock.connected:
+            return ERR
+        if sock.rx_available() == 0:
+            if not retrying:
+                self._block(thread, WaitReason.RECV, sock.sock_id, number, args)
             return None
-        if number == Sys.WRITE_CONSOLE:
-            data, _ = self._read_user(proc, a1, min(a2, 4096))
-            text = data.decode("latin-1")
-            proc.console.append(text)
-            self.console_log.append((proc.pid, text))
-            return len(data)
-        if number == Sys.SLEEP:
-            self._block(thread, WaitReason.SLEEP, machine.now + max(a1, 1), number, args)
+        n = min(a3, sock.rx_available())
+        src_paddrs = self.netstack.consume(sock, n)
+        dst_paddrs = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
+        self.machine.phys_copy(dst_paddrs, src_paddrs, actor=proc)
+        return n
+
+    def _sys_listen(self, thread, number, args, retrying):
+        sock = self._socket_for(thread.process, args[0])
+        if sock is None:
+            return ERR
+        self.netstack.listen(sock, args[1])
+        return 0
+
+    def _sys_accept(self, thread, number, args, retrying):
+        proc = thread.process
+        sock = self._socket_for(proc, args[0])
+        if sock is None or not sock.listening:
+            return ERR
+        if not sock.accept_queue:
+            if not retrying:
+                self._block(thread, WaitReason.ACCEPT, sock.sock_id, number, args)
             return None
-        if number == Sys.GET_TIME:
-            return machine.now & 0x7FFFFFFF
+        child = sock.accept_queue.popleft()
+        return proc.add_handle("socket", child.sock_id)
 
-        # ---- own virtual memory --------------------------------------
-        if number == Sys.ALLOC:
-            return self._alloc_in(proc.aspace, size=a1, perms=a2, addr_hint=0)
-        if number == Sys.FREE:
-            try:
-                proc.aspace.unmap_region(a1)
-                return 0
-            except GuestFault:
-                return ERR
-        if number == Sys.PROTECT:
-            proc.aspace.protect_region(a1, a2, a3 or PERM_RW)
-            return 0
+    # ---- other processes (the injection surface) --------------------
+    def _sys_create_process(self, thread, number, args, retrying):
+        proc = thread.process
+        path = self._read_user_string(proc, args[0])
+        if self.image_program(path) is None:
+            return ERR
+        child = self.spawn(path, suspended=bool(args[1]), parent=proc)
+        return proc.add_handle("process", child.pid)
 
-        # ---- filesystem ----------------------------------------------
-        if number == Sys.CREATE_FILE:
-            path = self._read_user_string(proc, a1)
-            node = self.fs.create(path)
-            return proc.add_handle("file", FileHandle(node))
-        if number == Sys.OPEN_FILE:
-            path = self._read_user_string(proc, a1)
-            if not self.fs.exists(path):
-                return ERR
-            return proc.add_handle("file", FileHandle(self.fs.open(path)))
-        if number == Sys.READ_FILE:
-            fh = proc.get_handle(a1, "file")
-            if fh is None:
-                return ERR
-            n = min(a3, len(fh.node.data) - fh.offset)
-            if n <= 0:
-                return 0
-            version = fh.node.touch()
-            self.fs.audit_log.append(("read", fh.node.path))
-            data = bytes(fh.node.data[fh.offset : fh.offset + n])
-            paddrs = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
-            machine.phys_write(paddrs, data, source=f"file:{fh.node.path}")
-            machine.plugins.on_file_read(
-                machine, proc, fh.node.path, version, paddrs
-            )
-            fh.offset += n
-            return n
-        if number == Sys.WRITE_FILE:
-            fh = proc.get_handle(a1, "file")
-            if fh is None:
-                return ERR
-            data, src_paddrs = self._read_user(proc, a2, a3)
-            version = fh.node.touch()
-            self.fs.audit_log.append(("write", fh.node.path))
-            end = fh.offset + len(data)
-            if len(fh.node.data) < end:
-                fh.node.data.extend(b"\x00" * (end - len(fh.node.data)))
-            fh.node.data[fh.offset : end] = data
-            machine.plugins.on_file_write(
-                machine, proc, fh.node.path, version, src_paddrs
-            )
-            fh.offset = end
-            return len(data)
-        if number == Sys.CLOSE:
-            entry = proc.close_handle(a1)
-            if entry is None:
-                return ERR
-            if entry.kind == "socket":
-                self.netstack.close(self.netstack.get(entry.obj))
-            return 0
-        if number == Sys.DELETE_FILE:
-            path = self._read_user_string(proc, a1)
-            if not self.fs.exists(path):
-                return ERR
-            self.fs.delete(path)
-            return 0
+    def _sys_find_process(self, thread, number, args, retrying):
+        proc = thread.process
+        name = self._read_user_string(proc, args[0])
+        target = self.find_process(name, exclude_pid=proc.pid)
+        return target.pid if target else ERR
 
-        # ---- network ---------------------------------------------------
-        if number == Sys.SOCKET:
-            sock = self.netstack.create(proc.pid)
-            return proc.add_handle("socket", sock.sock_id)
-        if number == Sys.CONNECT:
-            sock = self._socket_for(proc, a1)
-            if sock is None:
-                return ERR
-            ip = self._read_user_string(proc, a2)
-            self.netstack.connect(sock, ip, a3)
-            machine.send_packet(
-                Packet(self.netstack.local_ip, sock.local_port, ip, a3, b"")
-            )
-            return 0
-        if number == Sys.SEND:
-            sock = self._socket_for(proc, a1)
-            if sock is None or not sock.connected:
-                return ERR
-            data, _ = self._read_user(proc, a2, a3)
-            machine.send_packet(
-                Packet(
-                    self.netstack.local_ip,
-                    sock.local_port,
-                    sock.remote_ip,
-                    sock.remote_port,
-                    data,
-                )
-            )
-            return len(data)
-        if number == Sys.RECV:
-            sock = self._socket_for(proc, a1)
-            if sock is None or not sock.connected:
-                return ERR
-            if sock.rx_available() == 0:
-                if not retrying:
-                    self._block(thread, WaitReason.RECV, sock.sock_id, number, args)
-                return None
-            n = min(a3, sock.rx_available())
-            src_paddrs = self.netstack.consume(sock, n)
-            dst_paddrs = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
-            machine.phys_copy(dst_paddrs, src_paddrs, actor=proc)
-            return n
-        if number == Sys.LISTEN:
-            sock = self._socket_for(proc, a1)
-            if sock is None:
-                return ERR
-            self.netstack.listen(sock, a2)
-            return 0
-        if number == Sys.ACCEPT:
-            sock = self._socket_for(proc, a1)
-            if sock is None or not sock.listening:
-                return ERR
-            if not sock.accept_queue:
-                if not retrying:
-                    self._block(thread, WaitReason.ACCEPT, sock.sock_id, number, args)
-                return None
-            child = sock.accept_queue.popleft()
-            return proc.add_handle("socket", child.sock_id)
+    def _sys_open_process(self, thread, number, args, retrying):
+        target = self.processes.get(args[0])
+        if target is None or not target.alive:
+            return ERR
+        return thread.process.add_handle("process", target.pid)
 
-        # ---- other processes (the injection surface) --------------------
-        if number == Sys.CREATE_PROCESS:
-            path = self._read_user_string(proc, a1)
-            if self.image_program(path) is None:
-                return ERR
-            child = self.spawn(path, suspended=bool(a2), parent=proc)
-            return proc.add_handle("process", child.pid)
-        if number == Sys.FIND_PROCESS:
-            name = self._read_user_string(proc, a1)
-            target = self.find_process(name, exclude_pid=proc.pid)
-            return target.pid if target else ERR
-        if number == Sys.OPEN_PROCESS:
-            target = self.processes.get(a1)
-            if target is None or not target.alive:
-                return ERR
-            return proc.add_handle("process", target.pid)
-        if number == Sys.READ_VM:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            src = target.aspace.translate_range(a2, a4, AccessKind.READ)
-            dst = proc.aspace.translate_range(a3, a4, AccessKind.WRITE)
-            machine.phys_copy(dst, src, actor=proc)
-            return a4
-        if number == Sys.WRITE_VM:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            src = proc.aspace.translate_range(a3, a4, AccessKind.READ)
-            dst = target.aspace.translate_range(a2, a4, AccessKind.WRITE)
-            machine.phys_copy(dst, src, actor=proc)
-            return a4
-        if number == Sys.ALLOC_VM:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            return self._alloc_in(target.aspace, size=a2, perms=a3, addr_hint=a4)
-        if number == Sys.PROTECT_VM:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            target.aspace.protect_region(a2, a3, a4 or PERM_RW)
+    def _sys_read_vm(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3, a4 = args[:4]
+        target = self._process_for(proc, a1)
+        if target is None:
+            return ERR
+        src = target.aspace.translate_range(a2, a4, AccessKind.READ)
+        dst = proc.aspace.translate_range(a3, a4, AccessKind.WRITE)
+        self.machine.phys_copy(dst, src, actor=proc)
+        return a4
+
+    def _sys_write_vm(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3, a4 = args[:4]
+        target = self._process_for(proc, a1)
+        if target is None:
+            return ERR
+        src = proc.aspace.translate_range(a3, a4, AccessKind.READ)
+        dst = target.aspace.translate_range(a2, a4, AccessKind.WRITE)
+        self.machine.phys_copy(dst, src, actor=proc)
+        return a4
+
+    def _sys_alloc_vm(self, thread, number, args, retrying):
+        a1, a2, a3, a4 = args[:4]
+        target = self._process_for(thread.process, a1)
+        if target is None:
+            return ERR
+        return self._alloc_in(target.aspace, size=a2, perms=a3, addr_hint=a4)
+
+    def _sys_protect_vm(self, thread, number, args, retrying):
+        a1, a2, a3, a4 = args[:4]
+        target = self._process_for(thread.process, a1)
+        if target is None:
+            return ERR
+        target.aspace.protect_region(a2, a3, a4 or PERM_RW)
+        return 0
+
+    def _sys_unmap_vm(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        try:
+            target.aspace.unmap_region(args[1])
             return 0
-        if number == Sys.UNMAP_VM:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            try:
-                target.aspace.unmap_region(a2)
-                return 0
-            except GuestFault:
-                return ERR
-        if number == Sys.CREATE_REMOTE_THREAD:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
+        except GuestFault:
+            return ERR
+
+    def _sys_create_remote_thread(self, thread, number, args, retrying):
+        a1, a2, a3 = args[:3]
+        target = self._process_for(thread.process, a1)
+        if target is None:
+            return ERR
+        stack_base = target.aspace.find_free(
+            STACK_BYTES, layout.HEAP_BASE, layout.HEAP_LIMIT
+        )
+        target.aspace.map_region(stack_base, STACK_BYTES, PERM_RW, name="remote-stack")
+        remote = self._new_thread(
+            target, entry=a2, sp=stack_base + STACK_BYTES, arg=a3
+        )
+        self._enqueue(remote)
+        return remote.tid
+
+    def _sys_resume_thread(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        for t in target.threads:
+            if t.state is ThreadState.SUSPENDED:
+                self._enqueue(t)
+        return 0
+
+    def _sys_suspend_thread(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        for t in target.threads:
+            if t.state in (ThreadState.READY, ThreadState.RUNNING):
+                t.state = ThreadState.SUSPENDED
+        self._ready = deque(t for t in self._ready if t.process is not target)
+        return 0
+
+    def _sys_terminate(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        self.terminate_process(target, args[1])
+        return 0
+
+    def _sys_set_context(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        target.main_thread.context["pc"] = args[1] & 0xFFFFFFFF
+        return 0
+
+    def _sys_get_context(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        if target is None:
+            return ERR
+        return target.main_thread.context["pc"]
+
+    def _sys_query_process(self, thread, number, args, retrying):
+        target = self._process_for(thread.process, args[0])
+        return target.pid if target else ERR
+
+    # ---- loader services --------------------------------------------
+    def _sys_load_dll(self, thread, number, args, retrying):
+        proc = thread.process
+        path = self._read_user_string(proc, args[0])
+        return self._load_dll(proc, path)
+
+    def _sys_get_proc_addr(self, thread, number, args, retrying):
+        for name, addr in self.kernel_module.exports.items():
+            if fnv1a32(name) == args[0]:
+                return addr
+        return ERR
+
+    # ---- devices ------------------------------------------------------
+    def _sys_read_keys(self, thread, number, args, retrying):
+        machine = self.machine
+        data = machine.devices.keyboard.read(args[1])
+        if data:
+            paddrs = thread.process.aspace.translate_range(
+                args[0], len(data), AccessKind.WRITE
+            )
+            machine.phys_write(paddrs, data, source="keyboard")
+        return len(data)
+
+    def _sys_read_audio(self, thread, number, args, retrying):
+        machine = self.machine
+        data = machine.devices.audio.read(args[1])
+        paddrs = thread.process.aspace.translate_range(args[0], len(data), AccessKind.WRITE)
+        machine.phys_write(paddrs, data, source="audio")
+        return len(data)
+
+    def _sys_capture_screen(self, thread, number, args, retrying):
+        machine = self.machine
+        screen = machine.devices.screen
+        data = screen.capture(0, min(args[1], len(screen.framebuffer)))
+        paddrs = thread.process.aspace.translate_range(args[0], len(data), AccessKind.WRITE)
+        machine.phys_write(paddrs, data, source="screen")
+        return len(data)
+
+    def _sys_draw_screen(self, thread, number, args, retrying):
+        screen = self.machine.devices.screen
+        data, _ = self._read_user(thread.process, args[0], args[1])
+        screen.draw(0, data[: len(screen.framebuffer)])
+        return len(data)
+
+    # ---- atom table + APCs (the AtomBombing surface) ---------------------
+    def _sys_add_atom(self, thread, number, args, retrying):
+        machine = self.machine
+        a1, a2 = args[:2]
+        if a2 <= 0 or a2 > 16 * PAGE_SIZE:
+            return ERR
+        src = thread.process.aspace.translate_range(a1, a2, AccessKind.READ)
+        n_pages = (a2 + PAGE_SIZE - 1) >> PAGE_SHIFT
+        try:
+            frames = machine.allocator.alloc_many(n_pages)
+        except MemoryError:
+            return ERR
+        dst = tuple(
+            (frames[i >> PAGE_SHIFT] << PAGE_SHIFT) | (i & (PAGE_SIZE - 1))
+            for i in range(a2)
+        )
+        machine.phys_copy(dst, src, actor=thread.process)
+        atom = self._next_atom
+        self._next_atom += 1
+        self._atoms[atom] = (dst, a2)
+        return atom
+
+    def _sys_get_atom(self, thread, number, args, retrying):
+        proc = thread.process
+        a1, a2, a3 = args[:3]
+        entry = self._atoms.get(a1)
+        if entry is None:
+            return ERR
+        paddrs, length = entry
+        n = min(a3, length)
+        if n <= 0:
+            return 0
+        dst = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
+        # The copy-out runs in the CALLER's context: when an APC makes
+        # the victim call GlobalGetAtomNameA, the victim is the actor
+        # that pulls the bytes into its own memory.
+        self.machine.phys_copy(dst, paddrs[:n], actor=proc)
+        return n
+
+    def _sys_queue_apc(self, thread, number, args, retrying):
+        from repro.guestos.loader import stub_address
+        from repro.isa.registers import Reg
+
+        a1, a2, a3, a4, a5 = args
+        target = self._process_for(thread.process, a1)
+        if target is None:
+            return ERR
+        try:
             stack_base = target.aspace.find_free(
                 STACK_BYTES, layout.HEAP_BASE, layout.HEAP_LIMIT
             )
-            target.aspace.map_region(stack_base, STACK_BYTES, PERM_RW, name="remote-stack")
-            remote = self._new_thread(
-                target, entry=a2, sp=stack_base + STACK_BYTES, arg=a3
-            )
-            self._enqueue(remote)
-            return remote.tid
-        if number == Sys.RESUME_THREAD:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            for t in target.threads:
-                if t.state is ThreadState.SUSPENDED:
-                    self._enqueue(t)
-            return 0
-        if number == Sys.SUSPEND_THREAD:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            for t in target.threads:
-                if t.state in (ThreadState.READY, ThreadState.RUNNING):
-                    t.state = ThreadState.SUSPENDED
-            self._ready = deque(t for t in self._ready if t.process is not target)
-            return 0
-        if number == Sys.TERMINATE:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            self.terminate_process(target, a2)
-            return 0
-        if number == Sys.SET_CONTEXT:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            target.main_thread.context["pc"] = a2 & 0xFFFFFFFF
-            return 0
-        if number == Sys.GET_CONTEXT:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            return target.main_thread.context["pc"]
-        if number == Sys.QUERY_PROCESS:
-            target = self._process_for(proc, a1)
-            return target.pid if target else ERR
-
-        # ---- loader services --------------------------------------------
-        if number == Sys.LOAD_DLL:
-            path = self._read_user_string(proc, a1)
-            return self._load_dll(proc, path)
-        if number == Sys.GET_PROC_ADDR:
-            for name, addr in self.kernel_module.exports.items():
-                if fnv1a32(name) == a1:
-                    return addr
+        except MemoryError:
             return ERR
+        target.aspace.map_region(stack_base, STACK_BYTES, PERM_RW, name="apc-stack")
+        apc = self._new_thread(
+            target, entry=a2, sp=stack_base + STACK_BYTES, arg=a3
+        )
+        apc.context["regs"][Reg.R2] = a4 & 0xFFFFFFFF
+        apc.context["regs"][Reg.R3] = a5 & 0xFFFFFFFF
+        # APCs aimed straight at an API stub must return somewhere
+        # sane; the dispatcher points LR at ExitThread.
+        apc.context["regs"][Reg.LR] = stub_address("ExitThread")
+        self._enqueue(apc)
+        return apc.tid
 
-        # ---- devices ------------------------------------------------------
-        if number == Sys.READ_KEYS:
-            data = machine.devices.keyboard.read(a2)
-            if data:
-                paddrs = proc.aspace.translate_range(a1, len(data), AccessKind.WRITE)
-                machine.phys_write(paddrs, data, source="keyboard")
-            return len(data)
-        if number == Sys.READ_AUDIO:
-            data = machine.devices.audio.read(a2)
-            paddrs = proc.aspace.translate_range(a1, len(data), AccessKind.WRITE)
-            machine.phys_write(paddrs, data, source="audio")
-            return len(data)
-        if number == Sys.CAPTURE_SCREEN:
-            data = machine.devices.screen.capture(0, min(a2, len(machine.devices.screen.framebuffer)))
-            paddrs = proc.aspace.translate_range(a1, len(data), AccessKind.WRITE)
-            machine.phys_write(paddrs, data, source="screen")
-            return len(data)
-        if number == Sys.DRAW_SCREEN:
-            data, _ = self._read_user(proc, a1, a2)
-            machine.devices.screen.draw(0, data[: len(machine.devices.screen.framebuffer)])
-            return len(data)
+    def _sys_exit_thread(self, thread, number, args, retrying):
+        proc = thread.process
+        thread.state = ThreadState.DEAD
+        if all(t.state is ThreadState.DEAD for t in proc.threads):
+            self.terminate_process(proc, 0)
+        return None
 
-        # ---- atom table + APCs (the AtomBombing surface) ---------------------
-        if number == Sys.ADD_ATOM:
-            if a2 <= 0 or a2 > 16 * PAGE_SIZE:
-                return ERR
-            src = proc.aspace.translate_range(a1, a2, AccessKind.READ)
-            n_pages = (a2 + PAGE_SIZE - 1) >> PAGE_SHIFT
-            try:
-                frames = machine.allocator.alloc_many(n_pages)
-            except MemoryError:
-                return ERR
-            dst = tuple(
-                (frames[i >> PAGE_SHIFT] << PAGE_SHIFT) | (i & (PAGE_SIZE - 1))
-                for i in range(a2)
-            )
-            machine.phys_copy(dst, src, actor=proc)
-            atom = self._next_atom
-            self._next_atom += 1
-            self._atoms[atom] = (dst, a2)
-            return atom
-        if number == Sys.GET_ATOM:
-            entry = self._atoms.get(a1)
-            if entry is None:
-                return ERR
-            paddrs, length = entry
-            n = min(a3, length)
-            if n <= 0:
-                return 0
-            dst = proc.aspace.translate_range(a2, n, AccessKind.WRITE)
-            # The copy-out runs in the CALLER's context: when an APC makes
-            # the victim call GlobalGetAtomNameA, the victim is the actor
-            # that pulls the bytes into its own memory.
-            machine.phys_copy(dst, paddrs[:n], actor=proc)
-            return n
-        if number == Sys.QUEUE_APC:
-            target = self._process_for(proc, a1)
-            if target is None:
-                return ERR
-            from repro.guestos.loader import stub_address
-            from repro.isa.registers import Reg
-
-            try:
-                stack_base = target.aspace.find_free(
-                    STACK_BYTES, layout.HEAP_BASE, layout.HEAP_LIMIT
-                )
-            except MemoryError:
-                return ERR
-            target.aspace.map_region(stack_base, STACK_BYTES, PERM_RW, name="apc-stack")
-            apc = self._new_thread(
-                target, entry=a2, sp=stack_base + STACK_BYTES, arg=a3
-            )
-            apc.context["regs"][Reg.R2] = a4 & 0xFFFFFFFF
-            apc.context["regs"][Reg.R3] = a5 & 0xFFFFFFFF
-            # APCs aimed straight at an API stub must return somewhere
-            # sane; the dispatcher points LR at ExitThread.
-            apc.context["regs"][Reg.LR] = stub_address("ExitThread")
-            self._enqueue(apc)
-            return apc.tid
-        if number == Sys.EXIT_THREAD:
-            thread.state = ThreadState.DEAD
-            if all(t.state is ThreadState.DEAD for t in proc.threads):
-                self.terminate_process(proc, 0)
-            return None
-
-        # ---- shell ----------------------------------------------------------
-        if number == Sys.EXEC_CMD:
-            cmd = self._read_user_string(proc, a1)
-            self.shell_log.append((proc.pid, cmd))
-            if self.image_program(cmd) is not None:
-                child = self.spawn(cmd, parent=proc)
-                return proc.add_handle("process", child.pid)
-            return 0
-
-        return ERR  # unknown syscall number
+    # ---- shell ----------------------------------------------------------
+    def _sys_exec_cmd(self, thread, number, args, retrying):
+        proc = thread.process
+        cmd = self._read_user_string(proc, args[0])
+        self.shell_log.append((proc.pid, cmd))
+        if self.image_program(cmd) is not None:
+            child = self.spawn(cmd, parent=proc)
+            return proc.add_handle("process", child.pid)
+        return 0
 
     # ------------------------------------------------------------------
     # dispatch helpers
@@ -788,3 +870,12 @@ class Kernel:
         proc.modules.append(module)
         self.machine.plugins.on_module_load(self.machine, proc, module)
         return base
+
+
+#: The syscall table: syscall number -> :class:`Kernel` handler.  The
+#: method ``Kernel._sys_<name>`` handles ``Sys.<NAME>``.
+_SYSCALL_TABLE = {
+    int(Sys[name[len("_sys_"):].upper()]): handler
+    for name, handler in vars(Kernel).items()
+    if name.startswith("_sys_")
+}

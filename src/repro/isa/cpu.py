@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Protocol, Tuple
+from typing import List, NamedTuple, Optional, Protocol, Tuple
 
 from repro.isa.errors import DecodeError, InvalidInstruction
 from repro.isa.instructions import (
@@ -61,11 +61,17 @@ def decode_cache_info():
 
 
 class AccessKind(enum.Enum):
-    """Why a virtual address is being translated."""
+    """Why a virtual address is being translated.
+
+    Members hash by identity: ``Enum`` hashes the member name in Python,
+    and every MMU translation indexes a table by its access kind.
+    """
 
     FETCH = "fetch"
     READ = "read"
     WRITE = "write"
+
+    __hash__ = object.__hash__
 
 
 class MMU(Protocol):
@@ -87,8 +93,7 @@ class FlatMMU:
         return vaddr
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """One data-memory access performed by an instruction.
 
     :ivar vaddr: guest virtual address of the first byte.

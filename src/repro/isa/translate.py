@@ -90,9 +90,13 @@ through the file hook).  Only a change to those codes forces a rescan,
 not taint landing beside them; a store that writes the bytes also
 rewrites the watched code page and ends the block at that store
 (``"smc"``).  The replay record is keyed on the block's fetch codes
-plus the process tag.  Page-straddling instructions run like any
-other; no retirement steps through the interpreter.  See
-``docs/taint_model.md`` for the dispatch picture.
+plus the process tag.  A fused load memoises its data side the same
+way (interpreter step 2: union the read bytes' provenance, append the
+process tag), keyed on the read bytes' own shadow codes plus the
+process tag; a page-straddling load scans byte by byte.
+Page-straddling instructions run like any other; no retirement steps
+through the interpreter.  See ``docs/taint_model.md`` for the dispatch
+picture.
 
 Blocks bind a specific CPU's register file and a specific MMU at
 translation time; a :class:`BlockTranslator` therefore belongs to one
@@ -105,13 +109,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.cpu import (
-    CPU,
-    AccessKind,
-    InstructionEffects,
-    MemoryAccess,
-    cached_decode,
-)
+from repro.isa.cpu import CPU, AccessKind, MemoryAccess, cached_decode
 from repro.isa.errors import DecodeError, GuestFault, InvalidInstruction
 from repro.isa.instructions import (
     COND_BRANCH_OPS,
@@ -133,6 +131,9 @@ _FETCH_FAST_LIMIT = PAGE_SIZE - INSTRUCTION_SIZE
 
 _SP = int(Reg.SP)
 _LR = int(Reg.LR)
+#: Enum members as module constants: a class attribute load on an enum
+#: costs ~100 ns, and chain hops translate every jump target.
+_FETCH = AccessKind.FETCH
 _SIGN_BIT = 0x80000000
 _WRAP = 0x100000000
 
@@ -290,7 +291,7 @@ class TranslatedBlock:
         """
         vaddr, paddr, version = self.tail
         return (
-            self.cpu.mmu.translate(vaddr, AccessKind.FETCH) == paddr
+            self.cpu.mmu.translate(vaddr, _FETCH) == paddr
             and self._code_version(paddr >> PAGE_SHIFT) == version
         )
 
@@ -908,6 +909,31 @@ def _fetch_scan(ctx, paddrs: Sequence[int], codes: bytearray, tag) -> Tuple:
     return insn_prov
 
 
+def _load_scan(ctx, paddrs: Sequence[int], tag) -> Tuple:
+    """Interpreter step 2 for a load of *paddrs*: union the read bytes'
+    provenance and, with a process *tag*, append it to each tainted byte
+    and to the union, which it returns.
+
+    The fused load memoises it like the fetch step
+    (:func:`_compile_fetch`): a scan that appended nothing repeats
+    identically while the read bytes' codes and the tag hold.
+    """
+    shadow = ctx.shadow
+    prov = shadow.get_bytes(paddrs)
+    if prov and tag is not None:
+        append = ctx.append
+        stats = ctx.stats
+        for paddr in paddrs:
+            byte_prov = shadow.get(paddr)
+            if byte_prov:
+                new = append(byte_prov, tag)
+                if new is not byte_prov:
+                    shadow.set(paddr, new)
+                    stats.process_tag_appends += 1
+        prov = append(prov, tag)
+    return prov
+
+
 def _bulk_fetch(ctx, paddrs: range) -> None:
     """The fetch steps of a record run whose fetch bytes *paddrs* are
     one run with one nonzero code, in bulk.
@@ -1042,15 +1068,19 @@ def _compile_taint(
         READ = AccessKind.READ
         pop = op is Op.POP
         byte = op is Op.LDB
-        rd_reg = insn.rd
-        regs_read = (Reg.SP,) if pop else (insn.rs1,)
+        # Length of the read bytes' shadow codes: 3 per byte.
+        width3 = 3 if byte else 12
         fetch_paddrs = tuple(fetch_paddrs)
-        next_pc = (insn_pc + INSTRUCTION_SIZE) & MASK32
         # Listeners read ``machine.now``; the executor advances
         # ``cpu.instret`` only at block exit, so lend them this
         # instruction's retirement tick.
         retire_ticks = index + 1
         LoadObservation = _LoadObservation
+        # Step 2's memo, kept and hit as the fetch memo is: keyed on the
+        # read bytes' codes (whatever address they were read from) and
+        # the process tag, recorded only after a scan that appended
+        # nothing, and a hit adds the recorded lookups to the hits.
+        memo: List = [None, None, None, 0]  # codes, process tag, read prov, lookups
 
         @_mem
         def load(ctx) -> None:
@@ -1067,17 +1097,17 @@ def _compile_taint(
                 paddrs = (base, base + 1, base + 2, base + 3)
             else:
                 value, paddrs = load_slow(vaddr, 4)
+                base = None
             v[rd] = value
             if pop:
                 v[_SP] = (vaddr + 4) & MASK32
             # Tainted fetch bytes fail the all-clean gate: fetch(ctx) has
             # then already entered the slow path and run step 1.
             insn_prov = fetch(ctx)
-            stats = ctx.stats
             bank = ctx.bank
+            dirty = ctx.dirty_pages
             if insn_prov is None:
                 if bank.tainted == 0 and not bank.flags and ctx.tid not in ctx.pending:
-                    dirty = ctx.dirty_pages
                     if not dirty:
                         return
                     p0 = paddrs[0] >> shift
@@ -1085,39 +1115,42 @@ def _compile_taint(
                         p1 = paddrs[-1] >> shift
                         if p1 == p0 or p1 not in dirty:
                             return
-                stats.slow_retirements += 1
+                ctx.stats.slow_retirements += 1
                 insn_prov = EMPTY
             # Slow path: interpreter steps 2-4 for a load shape.
             proc_tag = ctx.get_proc_tag()
-            shadow = ctx.shadow
-            prov = shadow.get_bytes(paddrs)
-            if prov and proc_tag is not None:
-                append = ctx.append
-                set_byte = shadow.set
-                get_byte = shadow.get
-                for paddr in paddrs:
-                    byte_prov = get_byte(paddr)
-                    if byte_prov:
-                        new = append(byte_prov, proc_tag)
-                        if new is not byte_prov:
-                            set_byte(paddr, new)
-                            stats.process_tag_appends += 1
-                prov = append(prov, proc_tag)
+            if base is None:
+                # A page-straddling word: its bytes lie in two guest
+                # frames, with no one run of codes to key a memo on.
+                prov = _load_scan(ctx, paddrs, proc_tag)
+            else:
+                page = dirty.get(base >> shift)
+                if page is None:
+                    prov = EMPTY  # clean bytes: no lookup, no append
+                else:
+                    a3 = (base - (base >> shift << shift)) * 3
+                    codes = page.tags[a3 : a3 + width3]
+                    if codes == memo[0] and (proc_tag is memo[1] or proc_tag == memo[1]):
+                        memo[1] = proc_tag  # later compares in this slice are identity
+                        ctx.interner.hits += memo[3]
+                        prov = memo[2]
+                    else:
+                        interner = ctx.interner
+                        stats = ctx.stats
+                        lookups = interner.hits + interner.misses
+                        appends = stats.process_tag_appends
+                        prov = _load_scan(ctx, paddrs, proc_tag)
+                        if stats.process_tag_appends == appends:
+                            lookups = interner.hits + interner.misses - lookups
+                            memo[:] = codes, proc_tag, prov, lookups
             if ctx.listeners:
-                access = MemoryAccess(vaddr, tuple(paddrs), value)
                 observation = LoadObservation(
-                    thread=ctx.thread,
-                    fx=InstructionEffects(
-                        pc=insn_pc,
-                        insn=insn,
-                        next_pc=next_pc,
-                        fetch_paddrs=fetch_paddrs,
-                        reads=[access],
-                        reg_written=rd_reg,
-                        regs_read=regs_read,
-                    ),
-                    insn_prov=insn_prov,
-                    reads=[(access, prov)],
+                    ctx.thread,
+                    insn_pc,
+                    insn,
+                    fetch_paddrs,
+                    insn_prov,
+                    [(MemoryAccess(vaddr, paddrs, value), prov)],
                 )
                 cpu.instret += retire_ticks
                 try:
@@ -1285,7 +1318,7 @@ class BlockTranslator:
         precise-fault contract).
         """
         pc = cpu.pc
-        paddr = cpu.mmu.translate(pc, AccessKind.FETCH)
+        paddr = cpu.mmu.translate(pc, _FETCH)
         page = paddr >> PAGE_SHIFT
         memory = self._memory
         memory.watch_code_page(page)
@@ -1415,7 +1448,7 @@ class BlockTranslator:
                 if (
                     nxt is not None
                     and nxt.version == code_version(nxt.phys_page)
-                    and mmu_translate(pc, AccessKind.FETCH) == nxt.start_paddr
+                    and mmu_translate(pc, _FETCH) == nxt.start_paddr
                     and (nxt.tail is None or nxt.tail_valid())
                 ):
                     self.chain_hits += 1
@@ -1489,7 +1522,7 @@ class BlockTranslator:
                 if (
                     nxt is not None
                     and nxt.version == code_version(nxt.phys_page)
-                    and mmu_translate(pc, AccessKind.FETCH) == nxt.start_paddr
+                    and mmu_translate(pc, _FETCH) == nxt.start_paddr
                     and (nxt.tail is None or nxt.tail_valid())
                 ):
                     self.chain_hits += 1

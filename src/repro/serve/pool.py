@@ -188,12 +188,6 @@ def process_pool() -> SnapshotPool:
     return _PROCESS_POOL
 
 
-def reset_process_pool() -> None:
-    """Drop the per-process pool (tests)."""
-    global _PROCESS_POOL
-    _PROCESS_POOL = None
-
-
 def attack_snapshot_key(attack: str, transient: bool = False) -> str:
     return f"attack:{attack}:transient={bool(transient)}"
 

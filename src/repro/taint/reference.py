@@ -215,12 +215,7 @@ class ReferenceTaintTracker(Plugin):
             read_provs.append(prov)
 
         if self._load_listeners and fx.reads:
-            observation = LoadObservation(
-                thread=thread,
-                fx=fx,
-                insn_prov=insn_prov,
-                reads=list(zip(fx.reads, read_provs)),
-            )
+            observation = LoadObservation.of_effects(thread, fx, insn_prov, read_provs)
             for listener in self._load_listeners:
                 listener(machine, observation)
 

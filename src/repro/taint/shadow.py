@@ -55,7 +55,7 @@ from repro.faults.errors import TaintBudgetExceeded
 from repro.isa.registers import NUM_REGS, Reg
 from repro.taint.intern import ProvInterner
 from repro.taint.provenance import EMPTY
-from repro.taint.tags import Tag
+from repro.taint.tags import Tag, TagType
 
 Prov = Tuple[Tag, ...]
 
@@ -95,6 +95,20 @@ def prov_class_mask(prov: Prov) -> int:
     return mask
 
 
+#: value-keyed memo of provenance list -> number of distinct process
+#: tags, beside :data:`_CLASS_MEMO` (the detector's R2 test).
+_PROCESS_COUNT_MEMO: Dict[Prov, int] = {}
+
+
+def prov_process_count(prov: Prov) -> int:
+    """How many distinct process tags *prov* holds."""
+    count = _PROCESS_COUNT_MEMO.get(prov)
+    if count is None:
+        count = len({tag for tag in prov if tag.type is TagType.PROCESS})
+        _PROCESS_COUNT_MEMO[prov] = count
+    return count
+
+
 class ShadowPage:
     """Flat 4 KiB tag page: one 3-byte provenance code per byte.
 
@@ -110,17 +124,21 @@ class ShadowPage:
 
 
 def _nonzero_entries(tags: bytearray, a3: int, b3: int) -> int:
-    """Number of non-clean 3-byte entries in ``tags[a3:b3]``."""
+    """Number of non-clean 3-byte entries in ``tags[a3:b3]``.
+
+    A mixed run ORs each entry's three bytes into one (as the bytes of
+    three integers read from strided slices) and counts the zeros.
+    """
     zeros = tags.count(0, a3, b3)
     if zeros == b3 - a3:
         return 0
+    n = (b3 - a3) // 3
     if zeros == 0:
-        return (b3 - a3) // 3
-    count = 0
-    for off in range(a3, b3, 3):
-        if tags[off] or tags[off + 1] or tags[off + 2]:
-            count += 1
-    return count
+        return n
+    low = int.from_bytes(tags[a3:b3:3], "little")
+    mid = int.from_bytes(tags[a3 + 1 : b3 : 3], "little")
+    high = int.from_bytes(tags[a3 + 2 : b3 : 3], "little")
+    return n - (low | mid | high).to_bytes(n, "little").count(0)
 
 
 def _page_codes(tags: bytearray) -> Iterator[Tuple[int, int]]:
@@ -665,10 +683,6 @@ class ShadowBank:
 
     def drop_thread(self, tid: int) -> None:
         self._banks.pop(tid, None)
-
-    def any_tainted(self) -> bool:
-        """True if any thread's bank holds taint (registers or flags)."""
-        return any(b.tainted or b.flags for b in self._banks.values())
 
     def snapshot(self) -> Dict[int, Dict[object, Prov]]:
         """Non-empty banks only (differential comparisons)."""

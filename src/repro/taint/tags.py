@@ -20,7 +20,7 @@ evasion bench measures how fast an adversary can approach the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import enum
 
@@ -44,9 +44,12 @@ class TagSpaceExhausted(Exception):
         self.tag_type = tag_type
 
 
-@dataclass(frozen=True)
-class Tag:
-    """One provenance tag: a (type, index) pair -- the ``prov_tag``."""
+class Tag(NamedTuple):
+    """One provenance tag: a (type, index) pair -- the ``prov_tag``.
+
+    A tuple type, so hashing and comparing tags -- every interner probe
+    and provenance-list membership test does both -- runs in C.
+    """
 
     type: TagType
     index: int
@@ -118,9 +121,13 @@ class _IndexMap:
 class TagStore:
     """The three tag hash maps plus the singleton export-table tag.
 
-    Tags handed out by one store are interned: the same netflow 4-tuple
-    always yields the identical :class:`Tag`, so provenance lists can be
-    compared and deduplicated with plain equality.
+    Payloads are interned, so the same netflow 4-tuple (or CR3, or file
+    version) always yields an *equal* :class:`Tag`, and provenance lists
+    can be compared and deduplicated with plain equality.  Tags are
+    compared by value: each constructor call returns a fresh ``Tag``
+    (only the anonymous export-table tag is one shared object), so two
+    calls of :meth:`process_tag` for one CR3 give equal, not identical,
+    tags.
     """
 
     def __init__(self) -> None:

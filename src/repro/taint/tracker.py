@@ -48,15 +48,15 @@ the two bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.emulator.plugins import Plugin
 from repro.faults.errors import TaintBudgetExceeded
 from repro.isa.cpu import InstructionEffects, MemoryAccess
-from repro.isa.instructions import IMM_ALU_OPS, Op, REG_ALU_OPS
+from repro.isa.instructions import IMM_ALU_OPS, INSTRUCTION_SIZE, Instruction, Op, REG_ALU_OPS
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, contiguous_runs
-from repro.isa.registers import Reg
+from repro.isa.registers import MASK32, Reg
 from repro.taint.intern import GLOBAL_INTERNER, ProvInterner
 from repro.taint.policy import TaintPolicy
 from repro.taint.provenance import EMPTY
@@ -66,17 +66,70 @@ from repro.taint.tags import Tag, TagStore
 Prov = Tuple[Tag, ...]
 
 
-@dataclass
 class LoadObservation:
-    """What a load listener sees for one memory-reading instruction."""
+    """What a load listener sees for one memory-reading instruction.
 
-    thread: object
-    fx: InstructionEffects
-    #: Union of the provenance of the 8 fetched instruction bytes
-    #: (including the just-appended executing-process tag).
-    insn_prov: Prov
-    #: One ``(access, prov)`` pair per memory read the instruction made.
-    reads: List[Tuple[MemoryAccess, Prov]] = field(default_factory=list)
+    ``fx``, the instruction's whole :class:`InstructionEffects`, is
+    built from the other fields (for a load shape: ``LD``, ``LDB`` or
+    ``POP``) the first time it is read, unless the observer passed the
+    one it holds, as the interpreter does.  The detector reads only
+    ``pc``, ``insn`` and the provenance, so the taint tier's loads never
+    build it.  Either way ``fx.reads[0] is reads[0][0]``.
+    """
+
+    __slots__ = ("thread", "pc", "insn", "fetch_paddrs", "insn_prov", "reads", "_fx")
+
+    def __init__(
+        self,
+        thread: object,
+        pc: int,
+        insn: Instruction,
+        fetch_paddrs: Tuple[int, ...],
+        insn_prov: Prov,
+        reads: List[Tuple[MemoryAccess, Prov]],
+        fx: Optional[InstructionEffects] = None,
+    ) -> None:
+        self.thread = thread
+        self.pc = pc
+        self.insn = insn
+        self.fetch_paddrs = fetch_paddrs
+        #: Union of the provenance of the 8 fetched instruction bytes
+        #: (including the just-appended executing-process tag).
+        self.insn_prov = insn_prov
+        #: One ``(access, prov)`` pair per memory read the instruction made.
+        self.reads = reads
+        self._fx = fx
+
+    @classmethod
+    def of_effects(
+        cls, thread: object, fx: InstructionEffects, insn_prov: Prov, read_provs
+    ) -> "LoadObservation":
+        """The observation of an interpreted instruction's effects *fx*."""
+        return cls(
+            thread,
+            fx.pc,
+            fx.insn,
+            fx.fetch_paddrs,
+            insn_prov,
+            list(zip(fx.reads, read_provs)),
+            fx,
+        )
+
+    @property
+    def fx(self) -> InstructionEffects:
+        fx = self._fx
+        if fx is None:
+            insn = self.insn
+            fx = self._fx = InstructionEffects(
+                pc=self.pc,
+                insn=insn,
+                next_pc=(self.pc + INSTRUCTION_SIZE) & MASK32,
+                fetch_paddrs=self.fetch_paddrs,
+                reads=[access for access, _ in self.reads],
+                reg_written=insn.rd,
+                regs_read=(Reg.SP,) if insn.op is Op.POP else (insn.rs1,),
+            )
+        return fx
 
 
 LoadListener = Callable[[object, LoadObservation], None]
@@ -405,12 +458,7 @@ class TaintTracker(Plugin):
 
         # 3. Detection listeners observe pre-propagation state.
         if self._load_listeners and fx.reads:
-            observation = LoadObservation(
-                thread=thread,
-                fx=fx,
-                insn_prov=insn_prov,
-                reads=list(zip(fx.reads, read_provs)),
-            )
+            observation = LoadObservation.of_effects(thread, fx, insn_prov, read_provs)
             for listener in self._load_listeners:
                 listener(machine, observation)
 

@@ -52,3 +52,20 @@ def pad_to_page_offset(source: str, label: str, page_offset: int) -> str:
     probe = assemble(program(source.replace("{pad}", "0")), base=layout.IMAGE_BASE)
     pad = (page_offset - probe.label(label)) % PAGE_SIZE
     return source.replace("{pad}", str(pad))
+
+
+def interner_at_loads(tracker):
+    """Log ``(tick, hits, misses)`` of *tracker*'s interner at every
+    load its listeners observe.
+
+    The run's totals alone cannot tell a lookup that missed early from
+    the same miss paid by a later lookup of the same key: a fetch or
+    load memo that answered a scan it should have made moves the miss
+    that way.
+    """
+    log = []
+    interner = tracker.interner
+    tracker.add_load_listener(
+        lambda m, obs: log.append((m.now, interner.hits, interner.misses))
+    )
+    return log

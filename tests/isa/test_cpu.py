@@ -210,6 +210,12 @@ class TestEffectsTracing:
         assert read.paddrs == (0x504, 0x505, 0x506, 0x507)
         assert read.value == 123
         assert fx.reg_written is Reg.R2
+        # Journals and digests print accesses and hash them.
+        assert repr(read) == (
+            "MemoryAccess(vaddr=1284, paddrs=(1284, 1285, 1286, 1287), value=123)"
+        )
+        assert hash(read) == hash((0x504, (0x504, 0x505, 0x506, 0x507), 123))
+        assert read.size == 4
 
     def test_store_effects(self):
         cpu = make_cpu("movi r1, 0x500\nmovi r2, 9\nstb [r1], r2\nhlt")

@@ -33,6 +33,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.taint.intern import ProvInterner
 from repro.taint.tracker import TaintTracker
 
+from tests.conftest import interner_at_loads
+
 ATTACKS = sorted(ATTACK_BUILDER_REGISTRY)
 
 
@@ -92,10 +94,11 @@ class TestAttackDifferential:
                     policy=policy, tags=tags, interner=ProvInterner(), **kw
                 ),
             )
+            loads = interner_at_loads(faros.tracker)
             machine = replay(recording, plugins=[faros], metrics=metrics)
-            outcomes[translate] = (recording, faros, machine, metrics)
-        rec_on, faros_on, machine_on, metrics_on = outcomes[True]
-        rec_off, faros_off, machine_off, metrics_off = outcomes[False]
+            outcomes[translate] = (recording, faros, machine, metrics, loads)
+        rec_on, faros_on, machine_on, metrics_on, loads_on = outcomes[True]
+        rec_off, faros_off, machine_off, metrics_off, loads_off = outcomes[False]
 
         assert rec_on.final_instret == rec_off.final_instret
         assert journal_repr(rec_on.journal) == journal_repr(rec_off.journal)
@@ -115,6 +118,10 @@ class TestAttackDifferential:
         assert comparable_metrics(metrics_on.snapshot()) == comparable_metrics(
             metrics_off.snapshot()
         )
+        # The interner counters at every load, not only their totals: a
+        # memo that skipped a lookup which would have missed could hide
+        # the miss in a later lookup of the same key.
+        assert loads_on == loads_off
         # The comparison is only meaningful if the block cache actually
         # exists on the translate-on side and is absent on the other.
         # (The analysis replay itself is instrumented from boot: the

@@ -46,6 +46,7 @@ The cross-tracker randomized matrix lives in
 
 import dataclasses
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -54,21 +55,24 @@ from repro.faros import Faros
 from repro.faults.plan import InjectedMachineFault
 from repro.guestos.asmlib import program
 from repro.guestos.layout import IMAGE_BASE
+from repro.isa import translate as translate_module
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU, AccessKind
 from repro.isa.errors import PageFault
+from repro.isa.instructions import Op
 from repro.isa.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 from repro.isa.registers import Reg
 from repro.isa.translate import BlockTranslator, TranslatedBlock
 from repro.taint import shadow as shadow_module
 from repro.taint.intern import ProvInterner
 from repro.taint.policy import TaintPolicy
+from repro.taint.provenance import EMPTY
 from repro.taint.shadow import SHADOW_PAGE_SIZE, ShadowMemory
 from repro.taint.tags import Tag, TagType
 from repro.taint.tracker import TaintTracker
 from repro.workloads.corpus import corpus_samples
 
-from tests.conftest import register_asm
+from tests.conftest import interner_at_loads, pad_to_page_offset, register_asm
 from tests.isa.test_translate_smc import STRADDLE_PROGRAMS
 
 SEED = Tag(TagType.NETFLOW, 9)
@@ -121,7 +125,8 @@ def run_one(
     Each code event is ``(tick, label, n, tag)``: a scheduled
     :class:`_CodeTaintEvent` over *n* bytes at *label*.  A label may
     carry a byte offset, ``"loop+3"``.  A *load_log* list receives
-    every load observation as ``(machine.now, insn_prov)``.
+    every load observation as ``(machine.now, insn_prov, read prov)``.  Returns a
+    :class:`Leg`.
     """
     machine = Machine(MachineConfig(translate=translate, **config_kw))
     tracker = TaintTracker(
@@ -130,8 +135,9 @@ def run_one(
     machine.plugins.register(tracker)
     if load_log is not None:
         tracker.add_load_listener(
-            lambda m, obs: load_log.append((m.now, obs.insn_prov))
+            lambda m, obs: load_log.append((m.now, obs.insn_prov, obs.reads[0][1]))
         )
+    loads = interner_at_loads(tracker)
     prog = register_asm(machine, "t.exe", body, PARK)
     proc = machine.kernel.spawn("t.exe")
 
@@ -146,7 +152,18 @@ def run_one(
     for tick, label, n, tag in code_events:
         machine.schedule(tick, _CodeTaintEvent(tracker, paddrs(label, n), tag))
     stats = machine.run(budget)
-    return machine, tracker, stats
+    return Leg(machine, tracker, stats, loads)
+
+
+class Leg(NamedTuple):
+    """One :func:`run_one` run."""
+
+    machine: Machine
+    tracker: TaintTracker
+    stats: object
+    #: The interner's ``(tick, hits, misses)`` at each load observation
+    #: (``interner_at_loads``).
+    loads: list
 
 
 class _CodeTaintEvent:
@@ -168,8 +185,8 @@ class _CodeTaintEvent:
 
 def assert_pair_identical(on, off):
     """Bit-identity between a translate-on and a translate-off run."""
-    machine_on, tracker_on, stats_on = on
-    machine_off, tracker_off, stats_off = off
+    machine_on, tracker_on, stats_on, loads_on = on
+    machine_off, tracker_off, stats_off, loads_off = off
     assert machine_on.now == machine_off.now
     assert stats_on.stop_reason == stats_off.stop_reason
     assert tracker_on.shadow.snapshot() == tracker_off.shadow.snapshot()
@@ -182,6 +199,7 @@ def assert_pair_identical(on, off):
         tracker_off.interner.hits,
         tracker_off.interner.misses,
     )
+    assert loads_on == loads_off
     assert tracker_on.tags.sizes() == tracker_off.tags.sizes()
 
 
@@ -213,7 +231,7 @@ class TestArmedButCleanStaysTranslated:
         retires everything fast, touching neither the interner nor the
         tag store, with the interpreter's counters."""
         on, off = run_pair(TAINTED_LOOP)
-        machine, tracker, _ = on
+        machine, tracker, *_ = on
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
         assert machine.translator.executions == 0
@@ -227,7 +245,7 @@ class TestArmedButCleanStaysTranslated:
         """Taint exists (tracker armed) but this thread never touches
         it: every retirement stays on the fast counter, pure blocks via
         replay records and the rest via per-closure gates."""
-        machine, tracker, _ = run_one(ARMED_CLEAN, seeds=[("far", 4)])
+        machine, tracker, *_ = run_one(ARMED_CLEAN, seeds=[("far", 4)])
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
         assert ts["taint_single_steps"] == 0
@@ -238,7 +256,7 @@ class TestArmedButCleanStaysTranslated:
     def test_tainted_data_on_clean_fetch_pages_stays_translated(self):
         """Taint moving through data pages never evicts the code from
         the translated tier -- only the per-instruction gate pays."""
-        machine, tracker, _ = run_one(TAINTED_LOOP, seeds=[("src", 4)])
+        machine, tracker, *_ = run_one(TAINTED_LOOP, seeds=[("src", 4)])
         ts = taint_stats(machine)
         assert ts["taint_executions"] > 0
         assert ts["taint_single_steps"] == 0
@@ -246,7 +264,7 @@ class TestArmedButCleanStaysTranslated:
         assert tracker.stats.slow_retirements > 0  # the copies went slow-path
 
     def test_tainted_run_matches_interpreter(self):
-        (machine, tracker, _), _ = run_pair(TAINTED_LOOP, seeds=[("src", 4)])
+        (machine, tracker, *_), _ = run_pair(TAINTED_LOOP, seeds=[("src", 4)])
         assert taint_stats(machine)["taint_executions"] > 0
 
 
@@ -317,12 +335,12 @@ src: .word 9
 
 class TestByteGranularCleanliness:
     def test_store_beside_fetch_range_stays_fused(self):
-        (machine, tracker, _), _ = run_pair(DIRTY_OWN_PAGE, seeds=[("src", 4)])
+        (machine, tracker, *_), _ = run_pair(DIRTY_OWN_PAGE, seeds=[("src", 4)])
         assert taint_stats(machine)["taint_single_steps"] == 0
         assert tracker.shadow.tainted_bytes > 4  # src + near carry taint
 
     def test_planted_export_tags_beside_code_stay_fused(self):
-        (machine, tracker, _), _ = run_pair(
+        (machine, tracker, *_), _ = run_pair(
             EXPORT_NEIGHBOR, seeds=[("src", 4), ("planted", 16, EXPORT_TAG)]
         )
         assert taint_stats(machine)["taint_single_steps"] == 0
@@ -333,13 +351,13 @@ class TestByteGranularCleanliness:
         # Precision cuts the other way too: taint the first instruction
         # itself and that instruction's block runs its fetch step --
         # fused, with no interpreter step.
-        (machine, _, _), _ = run_pair(TAINTED_LOOP, seeds=[("start", 4)])
+        (machine, *_), _ = run_pair(TAINTED_LOOP, seeds=[("start", 4)])
         assert taint_stats(machine)["taint_single_steps"] == 0
 
     def test_store_into_fetch_range_exits_precisely(self):
         from repro.isa.registers import Reg
 
-        (machine, tracker, _), (machine_off, _, _) = run_pair(
+        (machine, tracker, *_), (machine_off, *_) = run_pair(
             PATCH_FETCH, seeds=[("src", 4)]
         )
         # Tainting fetched bytes means writing them, so the code-version
@@ -354,7 +372,7 @@ class TestByteGranularCleanliness:
     def test_clean_store_does_not_exit(self):
         # A tainting store beside the code retires inside its block:
         # with no slice cut, the loop block runs whole on every entry.
-        (machine, _, _), _ = run_pair(
+        (machine, *_), _ = run_pair(
             TAINTED_LOOP, seeds=[("src", 4)], quantum=10_000
         )
         (loop,) = [
@@ -444,7 +462,7 @@ class TestFusedOperandShapes:
         policy = TaintPolicy(
             track_address_deps=addr_deps, track_control_deps=control_deps
         )
-        (machine, tracker, _), _ = run_pair(
+        (machine, tracker, *_), _ = run_pair(
             SHAPE_PROGRAMS[name], seeds=[("src", 4)], policy=policy
         )
         assert taint_stats(machine)["taint_executions"] > 0
@@ -452,7 +470,7 @@ class TestFusedOperandShapes:
 
     def test_process_tags_minted_in_identical_order(self):
         policy = TaintPolicy(process_tags_on_access=True)
-        (_, tracker_on, _), (_, tracker_off, _) = run_pair(
+        (_, tracker_on, *_), (_, tracker_off, *_) = run_pair(
             TAINTED_LOOP, seeds=[("src", 4)], policy=policy
         )
         assert tracker_on.stats.process_tag_appends > 0
@@ -467,7 +485,7 @@ class TestTickExactnessInsideTaintedBlocks:
     def test_watchdog_trips_at_identical_tick(self):
         on, off = {}, {}
         for translate, out in ((True, on), (False, off)):
-            machine, tracker, stats = run_one(
+            machine, tracker, stats, _ = run_one(
                 TAINTED_LOOP,
                 seeds=[("src", 4)],
                 translate=translate,
@@ -583,13 +601,13 @@ class TestDataFootprintCache:
     """
 
     def test_armed_but_clean_loop_delegates_whole_blocks(self):
-        machine, tracker, _ = run_one(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
+        machine, tracker, *_ = run_one(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
         assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.slow_retirements == 0
         assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
 
     def test_delegated_run_matches_interpreter(self):
-        (machine, tracker, _), _ = run_pair(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
+        (machine, tracker, *_), _ = run_pair(ARMED_CLEAN_SPLIT, seeds=[("far", 4)])
         assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
         assert tracker.shadow.tainted_bytes == 4
@@ -625,7 +643,7 @@ class TestBlockReplay:
     @pytest.mark.parametrize("tags_on_access", [False, True])
     def test_pure_loop_replays_and_matches_interpreter(self, tags_on_access):
         policy = TaintPolicy(process_tags_on_access=tags_on_access)
-        (machine, tracker, _), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
+        (machine, tracker, *_), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
         assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.slow_retirements > 0
 
@@ -637,7 +655,7 @@ class TestBlockReplay:
         # place, each counted as a replay, an execution and (after the
         # first) a chain hit.
         policy = TaintPolicy(process_tags_on_access=tags_on_access)
-        (machine, tracker, _), _ = run_pair(
+        (machine, tracker, *_), _ = run_pair(
             PURE_LOOP, seeds=[CODE], policy=policy, quantum=10_000
         )
         translator = machine.translator
@@ -658,7 +676,7 @@ class TestBlockReplay:
 
     def test_taint_budget_policy_never_replays(self):
         policy = TaintPolicy(max_tainted_bytes=1 << 20)
-        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
+        (machine, *_), _ = run_pair(PURE_LOOP, seeds=[CODE], policy=policy)
         assert taint_stats(machine)["taint_block_replays"] == 0
 
     def test_other_process_tag_prevents_replay(self):
@@ -763,10 +781,12 @@ def drive_pair(body, phases, policy=None):
     ``(machine, tracker)`` after asserting them bit-identical.
     """
     legs = {}
+    loads = {}
     for translate in (True, False):
         machine = Machine(MachineConfig(translate=translate))
         tracker = TaintTracker(policy=policy or TaintPolicy(), interner=ProvInterner())
         machine.plugins.register(tracker)
+        loads[translate] = interner_at_loads(tracker)
         prog = register_asm(machine, "t.exe", body)
         proc = machine.kernel.spawn("t.exe")
         tracker.taint_range(
@@ -800,6 +820,7 @@ def drive_pair(body, phases, policy=None):
         off.interner.hits,
         off.interner.misses,
     )
+    assert loads[True] == loads[False]
     assert on.tags.sizes() == off.tags.sizes()
     return legs[True], legs[False]
 
@@ -831,7 +852,7 @@ class TestFetchStepDecidesCleanliness:
     alone decides whether the instruction's fetch bytes are clean."""
 
     def test_clean_fetch_pure_blocks_replay(self):
-        (machine, tracker, _), _ = observed_pair(PURE_ARMED, seeds=[("far", 4)])
+        (machine, tracker, *_), _ = observed_pair(PURE_ARMED, seeds=[("far", 4)])
         assert taint_stats(machine)["taint_block_replays"] > 0
         assert tracker.stats.slow_retirements == 0
         assert tracker.stats.instructions == tracker.stats.fast_retirements > 0
@@ -846,13 +867,13 @@ class TestFetchStepDecidesCleanliness:
         # tagged by a channel event (no code write, so no SMC), and later
         # cleaned again: every fetch memo must see both code changes.
         events = [(151, "loop", loop_bytes, CODE_TAG), (251, "loop", loop_bytes, None)]
-        (machine, tracker, _), log = observed_pair(body, [(seed, 4)], events)
+        (machine, tracker, *_), log = observed_pair(body, [(seed, 4)], events)
         assert tracker.stats.process_tag_appends > 0
         assert tracker.shadow.snapshot()
         if body is PURE_ARMED:
             assert taint_stats(machine)["taint_block_replays"] > 0
         else:
-            assert any(CODE_TAG in prov for _, prov in log)
+            assert any(CODE_TAG in prov for _, prov, _ in log)
 
 
 #: A long pure loop over file-tagged code, with a data word just past
@@ -940,8 +961,218 @@ class TestFetchCodesKeyTheMemos:
         # fewer than its 24 code bytes would return stale provenance.
         events = [(601, "loop+7", 1, SEED)]
         _, log = observed_pair(LOAD_LOOP_NEAR, [CODE], events)
-        assert not any(SEED in prov for now, prov in log if now < 601)
-        assert any(SEED in prov for _, prov in log)
+        assert not any(SEED in prov for now, prov, _ in log if now < 601)
+        assert any(SEED in prov for _, prov, _ in log)
+
+
+
+#: A loop that loads one word, ``far``, on every trip; ``near``, the
+#: next word, shares its shadow page.  The load sits in one block, the
+#: loop's, so it has one memo.
+LOAD_FAR_LOOP = """
+start:
+    movi r5, 200
+    movi r6, far
+    jmp loop
+loop:
+    ld r1, [r6]
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    hlt
+pad: .space 8192
+far: .word 7
+near: .word 0
+"""
+
+#: A loop that loads each word of a 16-word array once.  With every
+#: word tagged alike, each trip reads the codes the trip before it read
+#: before its scan appended the process tag.
+ARRAY_LOOP = """
+start:
+    movi r5, 16
+    movi r6, arr
+    jmp loop
+loop:
+    ld r1, [r6]
+    addi r6, r6, 4
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    jmp park
+pad: .space 8192
+arr: .space 64
+"""
+
+#: ``LOAD_FAR_LOOP`` over a word that straddles a guest page boundary.
+STRADDLE_LOAD = pad_to_page_offset(
+    """
+start:
+    movi r5, 100
+    movi r6, word
+    jmp loop
+loop:
+    ld r1, [r6]
+    subi r5, r5, 1
+    cmpi r5, 0
+    jnz loop
+    hlt
+pad: .space 8192
+    .space {pad}
+word: .word 0x01020304
+""",
+    "word",
+    PAGE_SIZE - 2,
+)
+
+
+def scan_spy(monkeypatch):
+    """Count the fused loads' data-side scans (memo misses)."""
+    scans = []
+    scan = translate_module._load_scan
+
+    def spy(ctx, paddrs, tag):
+        scans.append(tuple(paddrs))
+        return scan(ctx, paddrs, tag)
+
+    monkeypatch.setattr(translate_module, "_load_scan", spy)
+    return scans
+
+
+def load_pair(body, seeds=(), policy=None, code_events=()):
+    """:func:`run_pair` that also holds every load observation
+    identical; returns the translated leg and its load log."""
+    logs = ([], [])
+    on, off = (
+        run_one(body, seeds, policy, translate, code_events=code_events, load_log=log)
+        for translate, log in zip((True, False), logs)
+    )
+    assert_pair_identical(on, off)
+    assert logs[0] == logs[1] and logs[0]
+    return on, logs[0]
+
+
+class TestLoadMemo:
+    """A fused load memoises its data side (interpreter step 2) on the
+    read bytes' own shadow codes plus the process tag, as the fetch
+    step does on its fetch bytes."""
+
+    def test_retagged_read_bytes_rescan(self, monkeypatch):
+        # The loaded word gains a new tag between slices, without a
+        # store: the memo's key moves, so the next trip rescans.
+        scans = scan_spy(monkeypatch)
+        events = [
+            (tick, "far", 4, Tag(TagType.NETFLOW, 30 + i))
+            for i, tick in enumerate((201, 401, 601))
+        ]
+        on, log = load_pair(LOAD_FAR_LOOP, [("far", 4)], code_events=events)
+        for tick, _, _, tag in events:
+            assert not any(tag in read for now, _, read in log if now < tick)
+            assert any(tag in read for now, _, read in log if now > tick)
+        assert len(events) < len(scans) <= 2 * (1 + len(events))
+        assert len(log) == 200
+
+    def test_appending_load_records_no_memo(self, monkeypatch):
+        # Every trip's scan appends the process tag to the bytes it
+        # reads.  A memo recorded there would key on the codes before
+        # the append, which the next word still has, and skip its
+        # appends.
+        scans = scan_spy(monkeypatch)
+        (machine, tracker, *_), log = load_pair(ARRAY_LOOP, [("arr", 64)])
+        assert tracker.stats.process_tag_appends == 64
+        assert len(scans) == len(log) == 16
+        (proc,) = machine.kernel.processes.values()
+        tag = tracker.tags.process_tag(proc.cr3)
+        arr = assemble(program(ARRAY_LOOP, PARK), base=IMAGE_BASE).label("arr")
+        for paddr in proc.aspace.translate_range(arr, 64, AccessKind.READ):
+            assert tracker.shadow.get(paddr) == (SEED, tag)
+
+    def test_hit_keys_on_the_process_tag(self):
+        # One block cache serves one process, so drive another process's
+        # thread over the same load by hand: its tag is not yet on the
+        # read bytes, so its first trip must rescan and append it.
+        far = assemble(program(LOAD_FAR_LOOP), base=IMAGE_BASE).label("far")
+
+        def phases(tracker, proc):
+            other = SimpleNamespace(
+                tid=proc.main_thread.tid + 100, process=SimpleNamespace(cr3=proc.cr3 + 1)
+            )
+            paddrs = proc.aspace.translate_range(far, 4, AccessKind.READ)
+            return [
+                lambda: tracker.taint_range(paddrs, SEED),
+                (proc.main_thread, 42),
+                (other, 40),
+                (proc.main_thread, 40),
+            ]
+
+        (machine, tracker), _ = drive_pair(LOAD_FAR_LOOP, phases)
+        (proc,) = machine.kernel.processes.values()
+        tags = tracker.tags
+        both = (SEED, tags.process_tag(proc.cr3), tags.process_tag(proc.cr3 + 1))
+        for paddr in proc.aspace.translate_range(far, 4, AccessKind.READ):
+            assert tracker.shadow.get(paddr) == both
+
+    def test_hit_adds_the_lookups_it_skips(self, monkeypatch):
+        # Two codes in the word: the scan's union makes three lookups,
+        # (SEED) | (N) and then (SEED, N) | (N) twice, of which the first
+        # two miss once; a hit adds all three.
+        scans = scan_spy(monkeypatch)
+        seeds = [("far", 1), ("far+1", 3, Tag(TagType.NETFLOW, 10))]
+        (_, tracker, *_), log = load_pair(
+            LOAD_FAR_LOOP, seeds, TaintPolicy(process_tags_on_access=False)
+        )
+        assert len(scans) == 1
+        assert tracker.interner.misses == 2
+        assert tracker.interner.hits == 3 * len(log) - 2
+
+    @pytest.mark.parametrize("process_tags", [True, False], ids=["tags_on", "tags_off"])
+    def test_hit_on_a_clean_word_returns_empty_itself(self, monkeypatch, process_tags):
+        # ``near`` dirties the page: every trip takes the slow path.
+        scans = scan_spy(monkeypatch)
+        policy = TaintPolicy(process_tags_on_access=process_tags)
+        _, log = load_pair(LOAD_FAR_LOOP, [("near", 4)], policy)
+        assert len(scans) == 1
+        assert all(read is EMPTY for *_, read in log)
+
+    def test_page_straddling_load_stays_exact(self, monkeypatch):
+        # The word's last two bytes lie on the next guest page; one of
+        # them is retagged mid-run.  Such a load scans byte by byte on
+        # every trip.
+        scans = scan_spy(monkeypatch)
+        events = [(201, "word+3", 1, Tag(TagType.NETFLOW, 40))]
+        _, log = load_pair(STRADDLE_LOAD, [("word", 4)], code_events=events)
+        assert len(scans) == len(log) == 100
+        assert any(len({paddr >> PAGE_SHIFT for paddr in paddrs}) == 2 for paddrs in scans)
+        assert any(Tag(TagType.NETFLOW, 40) in read for *_, read in log)
+
+
+class TestLazyLoadEffects:
+    """A fused load hands its listeners a slotted observation whose
+    ``fx`` is built on first read, equal to the interpreter's."""
+
+    def test_fused_effects_match_the_interpreter(self):
+        effects = {}
+        for translate in (True, False):
+            seen = []
+            machine = Machine(MachineConfig(translate=translate))
+            tracker = TaintTracker(policy=TaintPolicy(), interner=ProvInterner())
+            machine.plugins.register(tracker)
+            tracker.add_load_listener(lambda m, obs, seen=seen: seen.append(obs))
+            prog = register_asm(machine, "t.exe", SHAPE_PROGRAMS["bytes_and_stack"], PARK)
+            proc = machine.kernel.spawn("t.exe")
+            tracker.taint_range(
+                proc.aspace.translate_range(prog.label("src"), 4, AccessKind.READ), SEED
+            )
+            machine.run(300_000)
+            effects[translate] = seen
+        fused, interpreted = effects[True], effects[False]
+        assert len(fused) == len(interpreted) > 0
+        assert {obs.insn.op for obs in fused} >= {Op.LDB, Op.POP}
+        for a, b in zip(fused, interpreted):
+            assert (a.pc, a.insn, a.insn_prov, a.reads) == (b.pc, b.insn, b.insn_prov, b.reads)
+            assert a.fx == b.fx
+            assert a.fx.reads[0] is a.reads[0][0]
+            assert a.fx is a.fx
 
 
 class DispatchSpy:
@@ -995,6 +1226,7 @@ def faros_pair(scenario):
     translation cache on and off, asserted bit-identical; returns the
     translated leg's ``(machine, faros)``."""
     legs = []
+    loads = []
     for translate in (True, False):
         config = scenario.config if scenario.config is not None else MachineConfig()
         pinned = dataclasses.replace(
@@ -1005,6 +1237,7 @@ def faros_pair(scenario):
                 policy=policy, tags=tags, interner=ProvInterner(), **kw
             )
         )
+        loads.append(interner_at_loads(faros.tracker))
         legs.append((pinned.run(plugins=(faros,)), faros))
     (m_on, on), (m_off, off) = legs
     assert m_on.now == m_off.now
@@ -1015,6 +1248,7 @@ def faros_pair(scenario):
         off.tracker.interner.hits,
         off.tracker.interner.misses,
     )
+    assert loads[0] == loads[1]
     assert on.tags.sizes() == off.tags.sizes()
     assert on.report().to_json_dict() == off.report().to_json_dict()
     return legs[0]
@@ -1053,7 +1287,7 @@ class TestRecordRun:
 
     def test_file_tagged_pure_loop_compiles_nothing(self, monkeypatch):
         spy = DispatchSpy(monkeypatch)
-        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE])
+        (machine, *_), _ = run_pair(PURE_LOOP, seeds=[CODE])
         clean_only = spy.clean_only()
         assert clean_only and taint_stats(machine)["taint_block_replays"] > 0
         assert not set(spy.compiled) & set(clean_only)
@@ -1062,7 +1296,7 @@ class TestRecordRun:
         # One slice holds the whole loop, so no budget cut sends a block
         # fused: nothing compiles at all.
         spy.compiled.clear()
-        (machine, _, _), _ = run_pair(PURE_LOOP, seeds=[CODE], quantum=10_000)
+        (machine, *_), _ = run_pair(PURE_LOOP, seeds=[CODE], quantum=10_000)
         assert spy.compiled == []
         assert taint_stats(machine)["taint_compiles"] == 0
 
@@ -1076,7 +1310,7 @@ class TestRecordRun:
 
     def test_pure_block_entered_tainted_runs_fused(self, monkeypatch):
         spy = DispatchSpy(monkeypatch)
-        (machine, tracker, _), _ = run_pair(LOAD_THEN_PURE, seeds=[("src", 4)])
+        (machine, tracker, *_), _ = run_pair(LOAD_THEN_PURE, seeds=[("src", 4)])
         pure = assemble(program(LOAD_THEN_PURE, PARK), base=IMAGE_BASE).label("pure")
         (block,) = [b for b in machine.translator.blocks() if b.start_pc == pure]
         assert block.pure and block in spy.compiled
@@ -1126,7 +1360,7 @@ class TestRecordRun:
         monkeypatch.setattr(shadow_module, "MAX_PROV_CODES", 1)
         spy = DispatchSpy(monkeypatch)
         on, off = run_pair(PURE_STRAIGHT, seeds=[seed])
-        (machine, tracker, stats), (machine_off, _, stats_off) = on, off
+        (machine, tracker, stats, _), (machine_off, _, stats_off, _) = on, off
         assert stats.stop_reason == "fault" == stats_off.stop_reason
         assert stats.fault.kind == "TaintBudgetExceeded"
         assert stats.fault.classification == "degraded"
@@ -1150,7 +1384,7 @@ class TestStraddlingInstructionsFused:
 
     @pytest.mark.parametrize("name", sorted(STRADDLE_PROGRAMS))
     def test_matches_interpreter(self, name):
-        (machine, _, _), (machine_off, _, _) = self.run_pair(name)
+        (machine, *_), (machine_off, *_) = self.run_pair(name)
         assert machine.kernel.console_log == machine_off.kernel.console_log
         assert [p.exit_code for p in machine.kernel.processes.values()] == [
             p.exit_code for p in machine_off.kernel.processes.values()
@@ -1158,7 +1392,7 @@ class TestStraddlingInstructionsFused:
         assert taint_stats(machine)["taint_single_steps"] == 0
 
     def test_rewritten_second_page_runs_the_new_bytes(self):
-        (machine, _, _), _ = self.run_pair("smc")
+        (machine, *_), _ = self.run_pair("smc")
         (proc,) = machine.kernel.processes.values()
         assert proc.exit_code == 31
         assert taint_stats(machine)["taint_block_replays"] > 0
@@ -1233,8 +1467,11 @@ class TestStraddleAcrossShadowPages:
             clock = _Clock(cpu)
             tracker = TaintTracker(policy=TaintPolicy(), interner=ProvInterner())
             log = []
+            interner = tracker.interner
             tracker.add_load_listener(
-                lambda m, obs, log=log: log.append((m.now, obs.fx.pc, obs.insn_prov))
+                lambda m, obs, log=log, i=interner: log.append(
+                    (m.now, obs.fx.pc, obs.insn_prov, i.hits, i.misses)
+                )
             )
             translator = BlockTranslator(memory)
             for plants in retags:

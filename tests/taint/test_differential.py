@@ -85,7 +85,7 @@ from repro.taint.tags import Tag, TagStore, TagType
 from repro.taint.tracker import TaintTracker
 from repro.workloads.corpus import corpus_samples
 
-from tests.conftest import register_asm
+from tests.conftest import interner_at_loads, register_asm
 
 TAGS = (
     Tag(TagType.NETFLOW, 0),
@@ -655,22 +655,6 @@ def run_single(body, policy, seeds, tracker, translate, extra_seeds=()):
     seed_program((tracker,), proc, prog, seeds, extra_seeds)
     machine.run(300_000)
     return machine, obs_log
-
-
-def interner_at_loads(tracker):
-    """Log ``(tick, hits, misses)`` of *tracker*'s interner at every
-    load its listeners observe.
-
-    The run's totals alone cannot tell a lookup that missed early from
-    the same miss paid by a later lookup of the same key: a fetch memo
-    that answered a scan it should have made moves the miss that way.
-    """
-    log = []
-    interner = tracker.interner
-    tracker.add_load_listener(
-        lambda m, obs: log.append((m.now, interner.hits, interner.misses))
-    )
-    return log
 
 
 def run_translate_matrix(body, policy, seeds):

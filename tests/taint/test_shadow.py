@@ -24,6 +24,7 @@ from repro.taint.shadow import (
     ShadowMemory,
     ShadowRegisters,
     prov_class_mask,
+    prov_process_count,
 )
 from repro.taint.tags import Tag, TagType
 
@@ -217,6 +218,27 @@ class TestFlagCacheInvariant:
         self.test_summary_equals_or_of_byte_classes.hypothesis.inner_test(self, ops)
 
 
+class TestNonzeroEntries:
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 0x80, 0xFF]), max_size=300), st.data())
+    def test_counts_entries_with_any_nonzero_byte(self, values, data):
+        tags = bytearray(values)
+        entries = len(tags) // 3
+        a = data.draw(st.integers(0, entries))
+        b = data.draw(st.integers(a, entries))
+        expected = sum(any(tags[3 * e : 3 * e + 3]) for e in range(a, b))
+        assert shadow_module._nonzero_entries(tags, 3 * a, 3 * b) == expected
+
+
+class TestProcessCount:
+    """The detector's R2 test: distinct process tags, by value."""
+
+    def test_counts_distinct_process_tags(self):
+        assert prov_process_count(()) == 0
+        assert prov_process_count((N, E, F)) == 0
+        assert prov_process_count((N, P, E)) == 1
+        assert prov_process_count((P, Tag(TagType.PROCESS, 1), Tag(TagType.PROCESS, 7))) == 2
+
+
 class TestCodeTableLimit:
     """One provenance list past the code table's capacity raises the
     classified budget fault before any byte changes."""
@@ -290,13 +312,3 @@ class TestShadowBank:
 
     def test_drop_unknown_thread_is_noop(self):
         ShadowBank().drop_thread(99)
-
-    def test_any_tainted_sees_registers_and_flags(self):
-        bank = ShadowBank()
-        assert not bank.any_tainted()
-        bank.for_thread(1).set(Reg.R1, (N,))
-        assert bank.any_tainted()
-        bank.for_thread(1).set(Reg.R1, ())
-        assert not bank.any_tainted()
-        bank.for_thread(2).flags = (P,)
-        assert bank.any_tainted()

@@ -36,6 +36,20 @@ class TestProvTagEncoding:
             Tag.decode(b"\x01\x00")
 
 
+class TestTagValue:
+    """Reports and digests print tags, and every provenance list hashes
+    them: a tag's repr, hash and equality are those of its pair."""
+
+    def test_repr_names_both_fields(self):
+        assert repr(Tag(TagType.NETFLOW, 7)) == "Tag(type=<TagType.NETFLOW: 1>, index=7)"
+
+    def test_hash_and_equality_follow_the_pair(self):
+        tag = Tag(TagType.PROCESS, 3)
+        assert hash(tag) == hash((TagType.PROCESS, 3))
+        assert tag == Tag(TagType.PROCESS, 3)
+        assert tag != Tag(TagType.PROCESS, 4) and tag != Tag(TagType.FILE, 3)
+
+
 class TestTagStore:
     def test_netflow_interning(self):
         store = TagStore()
